@@ -79,18 +79,11 @@ class PointFunction:
 
 def lip_norm(f: PointFunction) -> float:
     """Largest pairwise value-difference-to-distance ratio; 0 on a point."""
-    space = f.space
-    n = space.n
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = f.diff_norm(i, j) / float(space.dist[i, j])
-            if q > best:
-                best = q
-    return best
+    return _worst_pair(f)[2]
 
 
 def _worst_pair(f: PointFunction) -> tuple[int, int, float]:
+    """The first pair (i, j), i < j, attaining lip_norm, and that ratio."""
     space = f.space
     best = (0, 0, 0.0)
     for i in range(space.n):
@@ -114,14 +107,13 @@ def mcshane_extend(subspace: Subspace, f: PointFunction,
         raise ContractError("the function must live on the subset's induced space")
     if f.dim != 1:
         raise ContractError("only scalar functions extend this way; extend coordinates separately")
-    lip = lip_norm(f)
+    i, j, lip = _worst_pair(f)
     if L is None:
         L = lip
     L = float(L)
     if not (math.isfinite(L) and L >= 0):
         raise ContractError("L must be a finite nonnegative real")
     if L < lip - tol * max(1.0, lip):
-        i, j, _ = _worst_pair(f)
         la, lb = msp.labels[i], msp.labels[j]
         raise ContractError(
             f"L = {L!r} is below the Lipschitz constant {lip!r}; "

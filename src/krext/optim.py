@@ -81,7 +81,6 @@ class FlowResult:
     flow_int: tuple[int, ...]
     potentials_int: tuple[int, ...]
     cost_int: int
-    supplies_int: tuple[int, ...] = ()
 
 
 def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
@@ -214,7 +213,6 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         flow_int=flow_int,
         potentials_int=g_int,
         cost_int=cost_int,
-        supplies_int=tuple(b),
     )
 
 

@@ -6,6 +6,16 @@ mass and returns the usual earth-mover value together with a coupling.
 norm, i.e. the largest integral against functions that are 1-Lipschitz
 and vanish at the basepoint; the basepoint absorbs whatever mass does
 not cancel.  Both report certifying potentials and the duality gap.
+
+Both rely on the triangle inequality: a detour through a third point
+never beats the direct arc, so the flow problem holds only the support
+and the arcs from its positive to its negative part, and the plan is
+read straight off the arc flows.  Potentials off the sinks come from
+the c-transform g(x) = min over sinks v of g(v) + d(x, v), McShane's
+formula, which is 1-Lipschitz on a metric.  The certificate rechecks
+every pair of the whole space; on a space that breaks the triangle
+inequality a failed certificate is reported as a ContractError naming
+the triangle.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ import numpy as np
 
 from .errors import ContractError, SolverError
 from .measures import SignedMeasure
-from .metric import FiniteMetricSpace
-from .optim import SCALE, FlowProblem, FlowResult, solve_flow
+from .metric import FiniteMetricSpace, require_valid_metric
+from .optim import SCALE, FlowProblem, solve_flow
 
 __all__ = ["TransportResult", "w1", "kr_norm", "verify_duality"]
 
@@ -45,54 +55,42 @@ class TransportResult:
     eta: SignedMeasure | None = None
 
 
-def _arcs_for(space: FiniteMetricSpace) -> tuple[tuple[int, int, float], ...]:
-    n = space.n
-    return tuple((i, j, float(space.dist[i, j])) for i in range(n) for j in range(n) if i != j)
+def _transport(space: FiniteMetricSpace, supplies: np.ndarray,
+               tol: float) -> tuple[float, dict[tuple[int, int], float], np.ndarray]:
+    """Cheapest transport of a balanced supply vector along direct arcs.
 
-
-def _decompose_paths(n: int, arcs, flow_int, supplies_int) -> dict[tuple[int, int], int]:
-    """Split an integer flow into source-to-sink transfers.
-
-    Arc costs are positive off the diagonal, so an optimal flow is
-    acyclic and every walk from a surplus node ends in a deficit node.
+    Only the support enters the flow problem, with one arc from every
+    source to every sink.  Returns the cost, the plan {(source, sink):
+    mass}, and potentials on every point: the c-transform
+    g(x) = min over sinks v of g(v) + d(x, v), shifted to vanish at the
+    basepoint.
     """
-    remaining = list(flow_int)
-    out_arcs: list[list[int]] = [[] for _ in range(n)]
-    for k, (u, v, _) in enumerate(arcs):
-        if remaining[k] > 0:
-            out_arcs[u].append(k)
-    bal = list(supplies_int)
-    moved: dict[tuple[int, int], int] = {}
-    guard = 0
-    while True:
-        src = next((i for i in range(n) if bal[i] > 0), -1)
-        if src < 0:
-            break
-        v = src
-        path: list[int] = []
-        while bal[v] >= 0:
-            k = next((k for k in out_arcs[v] if remaining[k] > 0), -1)
-            if k < 0:
-                raise SolverError("flow decomposition lost conservation")
-            path.append(k)
-            v = arcs[k][1]
-            if len(path) > n:
-                raise SolverError("flow decomposition found a cycle")
-        amount = min(bal[src], -bal[v], min(remaining[k] for k in path))
-        bal[src] -= amount
-        bal[v] += amount
-        for k in path:
-            remaining[k] -= amount
-        key = (src, v)
-        moved[key] = moved.get(key, 0) + amount
-        guard += 1
-        if guard > n + len(arcs) + 4:
-            raise SolverError("flow decomposition did not terminate")
-    return moved
+    # the largest supply comes last, where _quantize_balanced puts the
+    # rounding of its running sums, so no point changes sides
+    order = np.argsort(np.abs(supplies), kind="stable")
+    nodes = order[supplies[order] != 0.0]
+    sources = [k for k, v in enumerate(nodes) if supplies[v] > 0.0]
+    sinks = [k for k, v in enumerate(nodes) if supplies[v] < 0.0]
+    d = space.dist
+    arcs = tuple((u, v, float(d[nodes[u], nodes[v]])) for u in sources for v in sinks)
+    res = solve_flow(FlowProblem(len(nodes), supplies[nodes], arcs), tol=tol)
+
+    plan = {(int(nodes[u]), int(nodes[v])): f / SCALE
+            for (u, v, _), f in zip(arcs, res.flow_int) if f > 0}
+    g = np.zeros(space.n)
+    if sinks:
+        g_sink = np.array([res.potentials_int[v] / SCALE for v in sinks])
+        g = np.min(g_sink + d[:, nodes[sinks]], axis=1)
+        g -= g[space.basepoint]
+    return res.cost, plan, g
 
 
 def w1(mu: SignedMeasure, eta: SignedMeasure, tol: float = 1e-9) -> TransportResult:
-    """Earth-mover distance between nonnegative measures of equal mass."""
+    """Earth-mover distance between nonnegative measures of equal mass.
+
+    The mass that mu and eta share stays put on the diagonal; the rest
+    moves from points where mu exceeds eta to points where eta exceeds mu.
+    """
     if mu.space is not eta.space and mu.space != eta.space:
         raise ContractError("measures live on different spaces")
     if not mu.is_nonnegative() or not eta.is_nonnegative():
@@ -106,28 +104,16 @@ def w1(mu: SignedMeasure, eta: SignedMeasure, tol: float = 1e-9) -> TransportRes
         raise ContractError(f"w1 needs equal masses, got {m_mu!r} vs {m_eta!r}")
 
     space = mu.space
-    n = space.n
-    supplies = mu.as_vector() - eta.as_vector()
-    # force an exactly balanced instance; the drift is below tol by the check above
-    supplies -= np.sum(supplies) / max(n, 1)
-    arcs = _arcs_for(space)
-    res = solve_flow(FlowProblem(n, supplies, arcs), tol=tol)
+    diff = mu.as_vector() - eta.as_vector()
+    # the mass check allows a drift up to tol; the largest entry takes it
+    # before the sides are read off, so every source keeps a sink to feed
+    supplies = diff.copy()
+    supplies[np.argmax(np.abs(diff))] -= math.fsum(diff)
+    value, plan, g = _transport(space, supplies, tol)
+    stay = np.minimum(mu.as_vector(), eta.as_vector())
+    plan.update({(int(i), int(i)): float(stay[i]) for i in np.flatnonzero(stay > 0.0)})
 
-    moved = _decompose_paths(n, arcs, res.flow_int, res.supplies_int)
-    plan: dict[tuple[int, int], float] = {}
-    moved_out = [0] * n
-    for (i, j), a in moved.items():
-        plan[(i, j)] = a / SCALE
-        moved_out[i] += a
-    for i in range(n):
-        stay = float(mu[i]) - moved_out[i] / SCALE
-        if stay > 0.0:
-            plan[(i, i)] = stay
-
-    g = _shifted_potentials(space, res)
-    diff = [mu[i] - eta[i] for i in range(n)]
-    dual = math.fsum(diff[i] * g[i] for i in range(n))
-    value = res.cost
+    dual = math.fsum(diff * g)
     out = TransportResult("w1", space, value, plan, g, abs(value - dual), mu, eta)
     _certify(out, tol)
     return out
@@ -137,38 +123,28 @@ def kr_norm(mu: SignedMeasure, tol: float = 1e-9) -> TransportResult:
     """Dual-Lipschitz norm of a signed measure, basepoint fixed at zero.
 
     Equals the least cost of transporting mu to the zero measure when
-    the basepoint may emit or swallow mass for free.  For point masses,
-    kr_norm(dirac(x) - dirac(y)) is exactly d(x, y).
+    the basepoint may emit or swallow mass for free.  The plan runs from
+    the positive part (with the basepoint if it must emit) to the
+    negative part (with the basepoint if it must swallow).  For point
+    masses, kr_norm(dirac(x) - dirac(y)) is exactly d(x, y).
     """
     space = mu.space
     n = space.n
     bp = space.basepoint
     supplies = mu.as_vector()
     supplies[bp] = -math.fsum(float(supplies[i]) for i in range(n) if i != bp)
-    arcs = _arcs_for(space)
-    res = solve_flow(FlowProblem(n, supplies, arcs), tol=tol)
-
-    plan = {
-        (arcs[k][0], arcs[k][1]): f / SCALE
-        for k, f in enumerate(res.flow_int)
-        if f > 0
-    }
-    g = _shifted_potentials(space, res)
-    dual = math.fsum(float(mu[i]) * g[i] for i in range(n))
-    value = res.cost
+    value, plan, g = _transport(space, supplies, tol)
+    dual = math.fsum(mu.as_vector() * g)
     out = TransportResult("kr", space, value, plan, g, abs(value - dual), mu, None)
     _certify(out, tol)
     return out
 
 
-def _shifted_potentials(space: FiniteMetricSpace, res: FlowResult) -> np.ndarray:
-    base = res.potentials_int[space.basepoint]
-    return np.array([(gi - base) / SCALE for gi in res.potentials_int])
-
-
 def _certify(result: TransportResult, tol: float) -> None:
     ok, msg = verify_duality(result, tol=max(tol, 1e-9))
     if not ok:
+        # a broken triangle is the usual cause: name it as a bad input
+        require_valid_metric(result.space, tol)
         raise SolverError(f"transport certificate failed: {msg}")
 
 
@@ -183,67 +159,76 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     space = result.space
     n = space.n
     d = space.dist
-    g = result.potentials
+    g = np.asarray(result.potentials, dtype=float)
     scale_d = max(1.0, float(space.diameter))
     mass = result.mu.total_variation() if hasattr(result.mu, "total_variation") else 1.0
 
     if abs(float(g[space.basepoint])) > tol:
         return False, f"potential at the basepoint is {float(g[space.basepoint]):.3e}, not 0"
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            excess = float(g[i] - g[j]) - float(d[i, j])
-            if excess > tol * scale_d:
-                a, bl = space.labels[i], space.labels[j]
-                return False, (
-                    f"potential stretches pair ({a!r}, {bl!r}) by {excess:.3e} beyond their distance"
-                )
+    excess = (g[:, None] - g[None, :]) - d
+    np.fill_diagonal(excess, -np.inf)
+    stretched = np.argwhere(excess > tol * scale_d)  # row-major order
+    if stretched.size:
+        i, j = stretched[0]
+        a, bl = space.labels[i], space.labels[j]
+        return False, (
+            f"potential stretches pair ({a!r}, {bl!r}) by {excess[i, j]:.3e} beyond their distance"
+        )
 
-    for (i, j), fv in result.plan.items():
-        if not (0 <= i < n and 0 <= j < n):
+    keys = list(result.plan)
+    ij = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    fv = np.array(list(result.plan.values()), dtype=float)
+    outside = ~np.all((ij >= 0) & (ij < n), axis=1)
+    broken = np.flatnonzero(outside | (fv < -tol))
+    if broken.size:
+        k = int(broken[0])
+        i, j = keys[k]
+        if outside[k]:
             return False, f"plan entry ({i}, {j}) indexes outside the space"
-        if fv < -tol:
-            return False, f"plan entry ({i}, {j}) is negative: {fv:.3e}"
+        return False, f"plan entry ({i}, {j}) is negative: {fv[k]:.3e}"
+    src, dst = ij[:, 0], ij[:, 1]
 
-    plan_cost = math.fsum(fv * float(d[i, j]) for (i, j), fv in result.plan.items())
+    plan_cost = math.fsum(fv * d[src, dst])
     cost_scale = max(1.0, abs(result.value), mass * scale_d)
     if abs(plan_cost - result.value) > tol * cost_scale:
         return False, (
             f"plan cost {plan_cost!r} disagrees with the reported value {result.value!r}"
         )
 
+    coeff = result.mu.as_vector()
     if result.kind == "w1":
         if result.eta is None:
             return False, "a w1 result must carry both measures"
-        row = [0.0] * n
-        col = [0.0] * n
-        for (i, j), fv in result.plan.items():
-            row[i] += fv
-            col[j] += fv
-        for i in range(n):
-            if abs(row[i] - result.mu[i]) > tol * cost_scale:
-                return False, f"plan row {i} sums to {row[i]!r}, expected mu = {result.mu[i]!r}"
-            if abs(col[i] - result.eta[i]) > tol * cost_scale:
-                return False, f"plan column {i} sums to {col[i]!r}, expected eta = {result.eta[i]!r}"
+        row = np.bincount(src, weights=fv, minlength=n)
+        col = np.bincount(dst, weights=fv, minlength=n)
+        bad_row = np.abs(row - coeff) > tol * cost_scale
+        bad_col = np.abs(col - result.eta.as_vector()) > tol * cost_scale
+        missed = np.flatnonzero(bad_row | bad_col)
+        if missed.size:
+            i = int(missed[0])
+            if bad_row[i]:
+                return False, f"plan row {i} sums to {float(row[i])!r}, expected mu = {result.mu[i]!r}"
+            return False, f"plan column {i} sums to {float(col[i])!r}, expected eta = {result.eta[i]!r}"
     else:
-        bp = space.basepoint
-        for i in range(n):
-            if i == bp:
-                continue
-            div = math.fsum(
-                (fv if a == i else 0.0) - (fv if b == i else 0.0)
-                for (a, b), fv in result.plan.items()
+        # out-flow minus in-flow per node, each an exactly rounded sum
+        terms: list[list[float]] = [[] for _ in range(n)]
+        for (a, b), m in result.plan.items():
+            terms[a].append(m)
+            terms[b].append(0.0 - m)
+        div = np.array([math.fsum(t) for t in terms])
+        off = np.abs(div - coeff) > tol * cost_scale
+        off[space.basepoint] = False
+        missed = np.flatnonzero(off)
+        if missed.size:
+            i = int(missed[0])
+            return False, (
+                f"plan divergence at node {i} is {float(div[i])!r}, "
+                f"expected coefficient {result.mu[i]!r}"
             )
-            if abs(div - result.mu[i]) > tol * cost_scale:
-                return False, (
-                    f"plan divergence at node {i} is {div!r}, expected coefficient {result.mu[i]!r}"
-                )
 
-    coeff = result.mu.as_vector()
     if result.kind == "w1":
         coeff = coeff - result.eta.as_vector()
-    dual = math.fsum(float(coeff[i]) * float(g[i]) for i in range(n))
+    dual = math.fsum(coeff * g)
     if abs(dual - result.value) > tol * cost_scale:
         return False, f"duality gap {abs(dual - result.value):.3e} exceeds tolerance"
     return True, "ok"

@@ -257,6 +257,16 @@ def test_cli_validate_failure_exits_one(files, capsys, tmp_path):
     assert payload["violations"][0]["kind"] == "triangle"
 
 
+def test_cli_krnorm_on_a_broken_triangle_exits_one(files, capsys, tmp_path):
+    broken = kio.dump_space(files["space"])
+    broken["dist"][0][2] = broken["dist"][2][0] = 3.0  # d(a,c) > d(a,b) + d(b,c)
+    kio.write_json(tmp_path / "broken.json", broken)
+    kio.write_json(tmp_path / "ac.json", {"space": "broken.json", "coeff": {"a": 1.0, "c": -1.0}})
+    code, out, err = run_cli(capsys, "krnorm", str(tmp_path / "broken.json"), str(tmp_path / "ac.json"))
+    assert code == 1 and out == ""
+    assert "triangle violated at (a,b,c)" in err
+
+
 def test_cli_usage_error_is_64(files, capsys):
     code, _, err = run_cli(capsys, "krnorm")  # missing arguments
     assert code == 64 and "usage" in err.lower()

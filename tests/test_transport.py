@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_measure, rand_repaired_space, rand_space
-from krext import ContractError, SignedMeasure, kr_norm, verify_duality, w1
+import krext.transport as transport
+from krext import ContractError, FiniteMetricSpace, SignedMeasure, kr_norm, verify_duality, w1
 from krext.optim import LinearProgram, solve_lp
 from test_metric import three_point
 
@@ -43,6 +44,21 @@ def dual_lp_value(mu: SignedMeasure) -> float:
     res = solve_lp(lp)
     assert res.status == "optimal"
     return float(res.objective)
+
+
+def kr_supplies(mu: SignedMeasure) -> np.ndarray:
+    """mu with the basepoint absorbing whatever mass does not cancel."""
+    s = mu.as_vector()
+    s[mu.space.basepoint] = 0.0
+    s[mu.space.basepoint] = -math.fsum(s)
+    return s
+
+
+def assert_direct_arcs(res, supplies: np.ndarray) -> None:
+    """Every moved mass runs from a positive-supply to a negative-supply point."""
+    for (i, j), m in res.plan.items():
+        if i != j:
+            assert supplies[i] > 0 > supplies[j], ((i, j), m)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +126,61 @@ def test_w1_rejects_space_mismatch():
 
 
 @given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_w1_matches_dense_lp_dual(seed):
+    rng = np.random.default_rng(seed)
+    space = (rand_space if seed % 2 else rand_repaired_space)(rng, int(rng.integers(2, 9)))
+    mu = rand_measure(rng, space, nonneg=True)
+    eta = rand_measure(rng, space, nonneg=True)
+    eta = eta * (mu.mass() / eta.mass())
+    res = w1(mu, eta)
+    scale = max(1.0, res.value)
+    assert res.value == pytest.approx(dual_lp_value(mu - eta), abs=1e-9 * scale)
+    assert res.gap <= 1e-9 * scale
+    assert_direct_arcs(res, mu.as_vector() - eta.as_vector())
+
+
+def test_w1_absorbs_a_mass_drift_within_tolerance():
+    # every point loses mass; the drift of 1.1e-10 is inside tol, so the
+    # largest deficit turns into the source that feeds the other point
+    space = three_point()
+    mu = SignedMeasure(space, {0: 0.5, 1: 0.5})
+    eta = SignedMeasure(space, {0: 0.5 + 1e-11, 1: 0.5 + 1e-10})
+    res = w1(mu, eta)
+    assert res.value <= 1e-10
+    assert verify_duality(res)[0]
+
+
+@pytest.mark.parametrize("kind", ["kr", "w1"])
+def test_flow_problem_holds_only_direct_arcs(kind, monkeypatch):
+    seen = []
+
+    def spy(problem, tol=1e-9):
+        seen.append(problem)
+        return solve_flow(problem, tol=tol)
+
+    solve_flow = transport.solve_flow
+    monkeypatch.setattr(transport, "solve_flow", spy)
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        space = rand_space(rng, int(rng.integers(3, 12)))
+        if kind == "kr":
+            mu = rand_measure(rng, space)
+            supplies = kr_supplies(mu)
+            kr_norm(mu)
+        else:
+            mu = rand_measure(rng, space, nonneg=True)
+            eta = rand_measure(rng, space, nonneg=True)
+            eta = eta * (mu.mass() / eta.mass())
+            supplies = mu.as_vector() - eta.as_vector()
+            w1(mu, eta)
+        problem = seen.pop()
+        n_pos, n_neg = int(np.sum(supplies > 0)), int(np.sum(supplies < 0))
+        assert problem.n_nodes == n_pos + n_neg
+        assert len(problem.arcs) == n_pos * n_neg
+
+
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_w1_is_a_metric_on_probability_measures(seed):
     rng = np.random.default_rng(seed)
@@ -161,6 +232,7 @@ def test_kr_norm_matches_dense_lp_dual(seed):
     scale = max(1.0, res.value)
     assert res.value == pytest.approx(dual_lp_value(mu), abs=1e-9 * scale)
     assert res.gap <= 1e-9 * scale
+    assert_direct_arcs(res, kr_supplies(mu))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -196,6 +268,22 @@ def test_dirac_map_is_an_isometry():
                     continue
                 diff = SignedMeasure.dirac(space, i) - SignedMeasure.dirac(space, j)
                 assert kr_norm(diff).value == pytest.approx(space.d(i, j), abs=1e-9)
+
+
+def broken_triangle() -> FiniteMetricSpace:
+    """d(a, c) = 3 exceeds the detour d(a, b) + d(b, c) = 1 + 1.5."""
+    d = three_point().dist.copy()
+    d[0, 2] = d[2, 0] = 3.0
+    return FiniteMetricSpace(("a", "b", "c"), d, basepoint=0)
+
+
+def test_non_metric_space_is_a_contract_error():
+    space = broken_triangle()
+    a, c = SignedMeasure.dirac(space, 0), SignedMeasure.dirac(space, 2)
+    with pytest.raises(ContractError, match=r"triangle violated at \(a,b,c\)"):
+        kr_norm(a - c)
+    with pytest.raises(ContractError, match="triangle"):
+        w1(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +336,125 @@ def test_verify_duality_flags_wrong_value():
     res = kr_norm(SignedMeasure.dirac(space, 1))
     ok, msg = verify_duality(dataclasses.replace(res, value=res.value + 0.25))
     assert not ok
+
+
+def verify_duality_loops(result, tol: float = 1e-9) -> tuple[bool, str]:
+    """Reference: verify_duality written as plain loops over pairs and nodes."""
+    space = result.space
+    n = space.n
+    d = space.dist
+    g = result.potentials
+    scale_d = max(1.0, float(space.diameter))
+    mass = 1.0
+
+    if abs(float(g[space.basepoint])) > tol:
+        return False, f"potential at the basepoint is {float(g[space.basepoint]):.3e}, not 0"
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            excess = float(g[i] - g[j]) - float(d[i, j])
+            if excess > tol * scale_d:
+                a, bl = space.labels[i], space.labels[j]
+                return False, (
+                    f"potential stretches pair ({a!r}, {bl!r}) by {excess:.3e} beyond their distance"
+                )
+
+    for (i, j), fv in result.plan.items():
+        if not (0 <= i < n and 0 <= j < n):
+            return False, f"plan entry ({i}, {j}) indexes outside the space"
+        if fv < -tol:
+            return False, f"plan entry ({i}, {j}) is negative: {fv:.3e}"
+
+    plan_cost = math.fsum(fv * float(d[i, j]) for (i, j), fv in result.plan.items())
+    cost_scale = max(1.0, abs(result.value), mass * scale_d)
+    if abs(plan_cost - result.value) > tol * cost_scale:
+        return False, (
+            f"plan cost {plan_cost!r} disagrees with the reported value {result.value!r}"
+        )
+
+    if result.kind == "w1":
+        if result.eta is None:
+            return False, "a w1 result must carry both measures"
+        row = [0.0] * n
+        col = [0.0] * n
+        for (i, j), fv in result.plan.items():
+            row[i] += fv
+            col[j] += fv
+        for i in range(n):
+            if abs(row[i] - result.mu[i]) > tol * cost_scale:
+                return False, f"plan row {i} sums to {row[i]!r}, expected mu = {result.mu[i]!r}"
+            if abs(col[i] - result.eta[i]) > tol * cost_scale:
+                return False, f"plan column {i} sums to {col[i]!r}, expected eta = {result.eta[i]!r}"
+    else:
+        bp = space.basepoint
+        for i in range(n):
+            if i == bp:
+                continue
+            div = math.fsum(
+                (fv if a == i else 0.0) - (fv if b == i else 0.0)
+                for (a, b), fv in result.plan.items()
+            )
+            if abs(div - result.mu[i]) > tol * cost_scale:
+                return False, (
+                    f"plan divergence at node {i} is {div!r}, expected coefficient {result.mu[i]!r}"
+                )
+
+    coeff = result.mu.as_vector()
+    if result.kind == "w1":
+        coeff = coeff - result.eta.as_vector()
+    dual = math.fsum(float(coeff[i]) * float(g[i]) for i in range(n))
+    if abs(dual - result.value) > tol * cost_scale:
+        return False, f"duality gap {abs(dual - result.value):.3e} exceeds tolerance"
+    return True, "ok"
+
+
+def damaged(rng: np.random.Generator, res):
+    """A copy of a transport result with one random defect, often near the tolerance."""
+    n = res.space.n
+    size = float(10.0 ** rng.uniform(-11, -1)) * float(rng.choice([-1.0, 1.0]))
+    keys = list(res.plan)
+    how = int(rng.integers(9))
+    if how == 0:
+        g = res.potentials.copy()
+        g[int(rng.integers(n))] += size
+        return dataclasses.replace(res, potentials=g)
+    if how == 1:
+        return dataclasses.replace(res, value=res.value + size)
+    if how == 2 and keys:
+        plan = dict(res.plan)
+        k = keys[int(rng.integers(len(keys)))]
+        plan[k] += size
+        return dataclasses.replace(res, plan=plan)
+    if how == 3 and keys:
+        plan = dict(res.plan)
+        del plan[keys[int(rng.integers(len(keys)))]]
+        return dataclasses.replace(res, plan=plan)
+    if how == 4:
+        plan = dict(res.plan)
+        plan[(int(rng.integers(n)), int(rng.integers(-1, n + 1)))] = abs(size)
+        return dataclasses.replace(res, plan=plan)
+    if how == 5:
+        g = res.potentials - size * rng.uniform(0.0, 1.0, n)
+        return dataclasses.replace(res, potentials=g)
+    if how in (6, 7) and not (how == 7 and res.eta is None):
+        field = "mu" if how == 6 else "eta"
+        m = getattr(res, field)
+        k = int(rng.integers(n))
+        return dataclasses.replace(res, **{field: SignedMeasure(m.space, {**m.coeff, k: m[k] + size})})
+    return res
+
+
+def test_verify_duality_matches_the_loop_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        space = (rand_space if rng.random() < 0.5 else rand_repaired_space)(
+            rng, int(rng.integers(2, 9)))
+        if rng.random() < 0.5:
+            res = kr_norm(rand_measure(rng, space))
+        else:
+            mu = rand_measure(rng, space, nonneg=True)
+            eta = rand_measure(rng, space, nonneg=True)
+            res = w1(mu, eta * (mu.mass() / eta.mass()))
+        bad = damaged(rng, res)
+        assert verify_duality(bad) == verify_duality_loops(bad)
