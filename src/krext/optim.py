@@ -1,12 +1,19 @@
 """Optimization kernels: min-cost flow and a dense revised simplex.
 
-The flow solver runs successive shortest paths with node potentials on
-an exactly quantized copy of the instance.  Costs and supplies are
-scaled by 2**60 and rounded; multiplying a float by a power of two is
-exact, so the only perturbation is the final rounding to the dyadic
-grid, about 1e-18 at unit scale.  All pivoting then happens in integer
-arithmetic, which makes the optimum of the quantized instance exact and
-the duality gap identically zero.
+The flow solver runs primal-dual phases on an exactly quantized copy of
+the instance.  The grid is relative to the problem scale: costs are
+divided by a power of two near the largest cost and supplies by a power
+of two near the largest |supply|, then both are scaled by 2**60 and
+rounded.  Scaling a float by a power of two is exact, so the only
+perturbation is the final rounding, about 2**-61 of the largest cost or
+supply whatever their units, and results are multiplied back exactly.
+
+Each phase runs one multi-source Dijkstra on reduced costs from every
+node with excess until every deficit node is settled, raises the node
+potentials so that every shortest-path tree arc has reduced cost zero,
+and then augments along the tree to each settled deficit in settle
+order.  All arithmetic is on integers, so the optimum of the quantized
+instance is exact and the duality gap identically zero.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
@@ -20,30 +27,34 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, SolverError
 
-SCALE = 2**60
+GRID_BITS = 60
 
 
-def _quantize(x: float) -> int:
-    # x * SCALE only shifts the exponent, so the round is the sole rounding step
-    return int(round(float(x) * SCALE))
+def _grid_exponent(largest: float) -> int:
+    """Bits that put the largest magnitude just below 2**GRID_BITS."""
+    return GRID_BITS - math.frexp(largest)[1]
 
 
-def _quantize_balanced(values: np.ndarray) -> list[int]:
+def _quantize(x: float, shift: int) -> int:
+    # ldexp only moves the exponent, so the round is the sole rounding step
+    return int(round(math.ldexp(float(x), shift)))
+
+
+def _quantize_balanced(values: np.ndarray, shift: int) -> list[int]:
     """Quantize a near-balanced vector so the integer sum is exactly zero."""
     out: list[int] = []
     cum = 0.0
     prev = 0
     for v in values:
         cum += float(v)
-        cur = _quantize(cum)
+        cur = _quantize(cum, shift)
         out.append(cur - prev)
         prev = cur
     if out:
@@ -53,23 +64,19 @@ def _quantize_balanced(values: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """Min-cost flow instance on node indices 0..n_nodes-1.
+    """Uncapacitated min-cost flow instance on node indices 0..n_nodes-1.
 
     arcs: (u, v, cost) triples with nonnegative costs.
-    capacities: optional per-arc upper bounds, None meaning uncapacitated.
     supplies: positive for sources, negative for sinks, summing to zero.
     """
 
     n_nodes: int
     supplies: np.ndarray
     arcs: tuple[tuple[int, int, float], ...]
-    capacities: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "supplies", np.asarray(self.supplies, dtype=float))
         object.__setattr__(self, "arcs", tuple((int(u), int(v), float(c)) for u, v, c in self.arcs))
-        if self.capacities is not None:
-            object.__setattr__(self, "capacities", tuple(float(c) for c in self.capacities))
 
 
 @dataclass(frozen=True)
@@ -77,19 +84,19 @@ class FlowResult:
     flow: np.ndarray          # one value per arc
     potentials: np.ndarray    # dual node values g with g_u - g_v <= cost on arcs
     cost: float
-    # exact integer payload on the 2**-60 grid, for callers that keep computing
+    # exact integer arc flows; flow is flow_int times the supply grid step
     flow_int: tuple[int, ...]
-    potentials_int: tuple[int, ...]
-    cost_int: int
+    phases: int               # multi-source Dijkstra runs
+    augmentations: int        # augmenting paths, at least one per phase
 
 
 def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     """Solve a min-cost flow problem exactly on the quantized grid.
 
     Returns flows, certifying node potentials and the optimal cost.  The
-    potentials g satisfy g_u - g_v <= cost(u, v) on every arc that keeps
-    residual capacity, with equality on arcs carrying flow, so
-    sum_i supplies_i * g_i equals the cost exactly.
+    potentials g satisfy g_u - g_v <= cost(u, v) on every arc, with
+    equality on arcs carrying flow, so sum_i supplies_i * g_i equals the
+    cost exactly.
     """
     n = problem.n_nodes
     if problem.supplies.shape != (n,):
@@ -98,7 +105,7 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         raise ContractError("supplies must be finite")
     total = float(np.sum(problem.supplies))
     mass = float(np.sum(np.abs(problem.supplies)))
-    if abs(total) > tol * max(1.0, mass):
+    if abs(total) > tol * mass:
         raise ContractError(f"unbalanced supplies: net {total:.3e}")
     for u, v, c in problem.arcs:
         if not (0 <= u < n and 0 <= v < n):
@@ -107,112 +114,108 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             raise ContractError(f"self-loop arc at node {u}")
         if not (math.isfinite(c) and c >= 0.0):
             raise ContractError(f"arc ({u},{v}) needs a finite nonnegative cost")
-    caps = problem.capacities
-    if caps is not None and len(caps) != len(problem.arcs):
-        raise ContractError("capacities length must match arcs")
 
-    b = _quantize_balanced(problem.supplies)
+    supply_shift = _grid_exponent(float(np.max(np.abs(problem.supplies), initial=0.0)))
+    cost_shift = _grid_exponent(max((c for _, _, c in problem.arcs), default=0.0))
+    b = _quantize_balanced(problem.supplies, supply_shift)
     total_excess = sum(x for x in b if x > 0)
-    INF_CAP = total_excess + 1
+    inf_cap = total_excess + 1
 
-    # residual graph: paired forward/backward edges
+    # residual graph: paired forward/backward edges, edge e ^ 1 reverses e
     head: list[int] = []
     cap: list[int] = []
     cost: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(u: int, v: int, cp: int, cs: int) -> None:
-        adj[u].append(len(head)); head.append(v); cap.append(cp); cost.append(cs)
-        adj[v].append(len(head)); head.append(u); cap.append(0); cost.append(-cs)
-
-    for k, (u, v, c) in enumerate(problem.arcs):
-        cpk = INF_CAP if caps is None or caps[k] is None else _quantize(caps[k])
-        if cpk < 0:
-            raise ContractError(f"negative capacity on arc {k}")
-        add_edge(u, v, cpk, _quantize(c))
+    for u, v, c in problem.arcs:
+        cq = _quantize(c, cost_shift)
+        adj[u].append(len(head)); head.append(v); cap.append(inf_cap); cost.append(cq)
+        adj[v].append(len(head)); head.append(u); cap.append(0); cost.append(-cq)
 
     excess = list(b)
-    pi = [0] * n
-    INF = None
-    augmentations = 0
+    pi = [0] * n                  # reduced cost of edge u->w: cost + pi[u] - pi[w] >= 0
+    phases = augmentations = 0
     max_aug = 4 * (n + len(problem.arcs)) + 16
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     while total_excess > 0:
-        sources = [i for i in range(n) if excess[i] > 0]
-        dist: list[int | None] = [INF] * n
+        phases += 1
+        dist: list[float] = [math.inf] * n
         parent_edge = [-1] * n
-        pq: list[tuple[int, int]] = []
-        for s in sources:
+        pq = [(0, s) for s in range(n) if excess[s] > 0]   # sorted, so a heap
+        for _, s in pq:
             dist[s] = 0
-            heapq.heappush(pq, (0, s))
-        best_t = -1
+        deficits = sum(1 for x in excess if x < 0)
+        reached: list[int] = []   # deficit nodes in settle order
+        last = 0
         while pq:
-            dv, v = heapq.heappop(pq)
-            if dist[v] != dv:
+            dv, v = heappop(pq)
+            # labels only ever drop, so a stale entry is one above the label;
+            # reduced costs are nonnegative, so a settled label never drops
+            if dv != dist[v]:
                 continue
-            if excess[v] < 0 and best_t < 0:
-                best_t = v
-                break
+            last = dv
+            if excess[v] < 0:
+                reached.append(v)
+                if len(reached) == deficits:
+                    break
+            base = dv + pi[v]
             for e in adj[v]:
-                if cap[e] <= 0:
-                    continue
-                w = head[e]
-                nd = dv + cost[e] + pi[v] - pi[w]
-                if dist[w] is None or nd < dist[w]:
-                    dist[w] = nd
-                    parent_edge[w] = e
-                    heapq.heappush(pq, (nd, w))
-        if best_t < 0:
+                if cap[e] > 0:
+                    w = head[e]
+                    nd = base + cost[e] - pi[w]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        parent_edge[w] = e
+                        heappush(pq, (nd, w))
+        if not reached:
             raise ContractError("flow problem is infeasible: a deficit node is unreachable")
-        dt = dist[best_t]
+        # settled nodes move by their distance, the rest by the last one,
+        # which zeroes the reduced cost of every tree arc
         for v in range(n):
-            if dist[v] is not None:
-                pi[v] += min(dist[v], dt)
-            else:
-                pi[v] += dt
-        # trace the augmenting path and its bottleneck
-        amount = -excess[best_t]
-        v = best_t
-        path: list[int] = []
-        while parent_edge[v] >= 0:
-            e = parent_edge[v]
-            path.append(e)
-            amount = min(amount, cap[e])
-            v = head[e ^ 1]
-        amount = min(amount, excess[v])
-        for e in path:
-            cap[e] -= amount
-            cap[e ^ 1] += amount
-        excess[v] -= amount
-        excess[best_t] += amount
-        total_excess -= amount
-        augmentations += 1
-        if augmentations > max_aug:
-            raise SolverError("flow augmentation did not converge")
+            pi[v] += min(dist[v], last)
+
+        for t in reached:
+            amount = -excess[t]
+            path: list[int] = []
+            v = t
+            while parent_edge[v] >= 0:
+                e = parent_edge[v]
+                path.append(e)
+                amount = min(amount, cap[e])
+                v = head[e ^ 1]
+            amount = min(amount, excess[v])
+            if amount <= 0:
+                continue
+            for e in path:
+                cap[e] -= amount
+                cap[e ^ 1] += amount
+            excess[v] -= amount
+            excess[t] += amount
+            total_excess -= amount
+            augmentations += 1
+            if augmentations > max_aug:
+                raise SolverError("flow augmentation did not converge")
 
     flow_int = tuple(cap[2 * k + 1] for k in range(len(problem.arcs)))
-    cost_int = 0
-    for k in range(len(problem.arcs)):
-        cost_int += flow_int[k] * cost[2 * k]
-    g_int = tuple(-p for p in pi)
+    cost_int = sum(f * cost[2 * k] for k, f in enumerate(flow_int))
 
     # exact certificates on the quantized instance; failure means a bug
     for k, (u, v, _) in enumerate(problem.arcs):
-        if cap[2 * k] > 0 and cost[2 * k] + pi[u] - pi[v] < 0:
+        reduced = cost[2 * k] + pi[u] - pi[v]
+        if reduced < 0:
             raise SolverError("optimality certificate failed on a residual arc")
-        if flow_int[k] > 0 and cost[2 * k] + pi[u] - pi[v] > 0:
+        if flow_int[k] > 0 and reduced > 0:
             raise SolverError("complementary slackness failed on a flow arc")
-    dual_int = sum(bi * gi for bi, gi in zip(b, g_int))
-    if dual_int != cost_int:
+    if sum(bi * -p for bi, p in zip(b, pi)) != cost_int:
         raise SolverError("flow duality gap is nonzero on the quantized instance")
 
     return FlowResult(
-        flow=np.array([f / SCALE for f in flow_int]),
-        potentials=np.array([g / SCALE for g in g_int]),
-        cost=cost_int / SCALE / SCALE,
+        flow=np.array([math.ldexp(f, -supply_shift) for f in flow_int]),
+        potentials=np.array([math.ldexp(-p, -cost_shift) for p in pi]),
+        cost=math.ldexp(cost_int, -supply_shift - cost_shift),
         flow_int=flow_int,
-        potentials_int=g_int,
-        cost_int=cost_int,
+        phases=phases,
+        augmentations=augmentations,
     )
 
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SolverError
-from .measures import SignedMeasure
+from .measures import SignedMeasure, total_variation
 from .metric import FiniteMetricSpace, require_valid_metric
-from .optim import SCALE, FlowProblem, solve_flow
+from .optim import FlowProblem, solve_flow
 
 __all__ = ["TransportResult", "w1", "kr_norm", "verify_duality"]
 
@@ -75,12 +75,11 @@ def _transport(space: FiniteMetricSpace, supplies: np.ndarray,
     arcs = tuple((u, v, float(d[nodes[u], nodes[v]])) for u in sources for v in sinks)
     res = solve_flow(FlowProblem(len(nodes), supplies[nodes], arcs), tol=tol)
 
-    plan = {(int(nodes[u]), int(nodes[v])): f / SCALE
-            for (u, v, _), f in zip(arcs, res.flow_int) if f > 0}
+    plan = {(int(nodes[u]), int(nodes[v])): float(f)
+            for (u, v, _), f in zip(arcs, res.flow) if f > 0.0}
     g = np.zeros(space.n)
     if sinks:
-        g_sink = np.array([res.potentials_int[v] / SCALE for v in sinks])
-        g = np.min(g_sink + d[:, nodes[sinks]], axis=1)
+        g = np.min(res.potentials[sinks] + d[:, nodes[sinks]], axis=1)
         g -= g[space.basepoint]
     return res.cost, plan, g
 
@@ -99,8 +98,7 @@ def w1(mu: SignedMeasure, eta: SignedMeasure, tol: float = 1e-9) -> TransportRes
             "compare signed measures with kr_norm of their difference"
         )
     m_mu, m_eta = mu.mass(), eta.mass()
-    scale = max(1.0, abs(m_mu), abs(m_eta))
-    if abs(m_mu - m_eta) > tol * scale:
+    if abs(m_mu - m_eta) > tol * max(m_mu, m_eta):
         raise ContractError(f"w1 needs equal masses, got {m_mu!r} vs {m_eta!r}")
 
     space = mu.space
@@ -160,14 +158,20 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     n = space.n
     d = space.dist
     g = np.asarray(result.potentials, dtype=float)
-    scale_d = max(1.0, float(space.diameter))
-    mass = result.mu.total_variation() if hasattr(result.mu, "total_variation") else 1.0
+    # each tolerance is in the units of what it bounds: distances,
+    # masses, or costs; none has a unit floor, so all stay relative
+    diam = float(space.diameter)
+    mass = total_variation(result.mu)
+    if result.eta is not None:
+        mass = max(mass, total_variation(result.eta))
+    tol_d = tol * diam
+    tol_m = tol * mass
 
-    if abs(float(g[space.basepoint])) > tol:
+    if abs(float(g[space.basepoint])) > tol_d:
         return False, f"potential at the basepoint is {float(g[space.basepoint]):.3e}, not 0"
     excess = (g[:, None] - g[None, :]) - d
     np.fill_diagonal(excess, -np.inf)
-    stretched = np.argwhere(excess > tol * scale_d)  # row-major order
+    stretched = np.argwhere(excess > tol_d)  # row-major order
     if stretched.size:
         i, j = stretched[0]
         a, bl = space.labels[i], space.labels[j]
@@ -179,7 +183,7 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     ij = np.array(keys, dtype=np.int64).reshape(-1, 2)
     fv = np.array(list(result.plan.values()), dtype=float)
     outside = ~np.all((ij >= 0) & (ij < n), axis=1)
-    broken = np.flatnonzero(outside | (fv < -tol))
+    broken = np.flatnonzero(outside | (fv < -tol_m))
     if broken.size:
         k = int(broken[0])
         i, j = keys[k]
@@ -189,8 +193,8 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     src, dst = ij[:, 0], ij[:, 1]
 
     plan_cost = math.fsum(fv * d[src, dst])
-    cost_scale = max(1.0, abs(result.value), mass * scale_d)
-    if abs(plan_cost - result.value) > tol * cost_scale:
+    tol_c = tol * max(abs(result.value), mass * diam)
+    if abs(plan_cost - result.value) > tol_c:
         return False, (
             f"plan cost {plan_cost!r} disagrees with the reported value {result.value!r}"
         )
@@ -201,8 +205,8 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
             return False, "a w1 result must carry both measures"
         row = np.bincount(src, weights=fv, minlength=n)
         col = np.bincount(dst, weights=fv, minlength=n)
-        bad_row = np.abs(row - coeff) > tol * cost_scale
-        bad_col = np.abs(col - result.eta.as_vector()) > tol * cost_scale
+        bad_row = np.abs(row - coeff) > tol_m
+        bad_col = np.abs(col - result.eta.as_vector()) > tol_m
         missed = np.flatnonzero(bad_row | bad_col)
         if missed.size:
             i = int(missed[0])
@@ -216,7 +220,7 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
             terms[a].append(m)
             terms[b].append(0.0 - m)
         div = np.array([math.fsum(t) for t in terms])
-        off = np.abs(div - coeff) > tol * cost_scale
+        off = np.abs(div - coeff) > tol_m
         off[space.basepoint] = False
         missed = np.flatnonzero(off)
         if missed.size:
@@ -229,6 +233,6 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     if result.kind == "w1":
         coeff = coeff - result.eta.as_vector()
     dual = math.fsum(coeff * g)
-    if abs(dual - result.value) > tol * cost_scale:
+    if abs(dual - result.value) > tol_c:
         return False, f"duality gap {abs(dual - result.value):.3e} exceeds tolerance"
     return True, "ok"

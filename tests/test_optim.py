@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krext.transport as transport
+from conftest import rand_space
 from krext import ContractError, SignedMeasure, kr_norm
 from krext.optim import FlowProblem, LinearProgram, solve_flow, solve_lp
 from test_metric import three_point
@@ -124,6 +126,65 @@ def test_flow_matches_spanning_tree_enumeration(seed):
     res = solve_flow(FlowProblem(n, supplies, tuple(arcs)))
     oracle = _tree_flow_cost(n, costs, supplies)
     assert res.cost == pytest.approx(oracle, abs=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_flow_on_grid_distances_matches_spanning_tree_enumeration(seed):
+    # six cells of a 6x6 grid under its path metric: integer costs and
+    # integer supplies, so Dijkstra distances and bottlenecks tie often
+    rng = np.random.default_rng(seed)
+    n = 6
+    xy = np.stack(np.divmod(rng.choice(36, size=n, replace=False), 6), axis=1)
+    supplies = rng.integers(-3, 4, size=n).astype(float)
+    supplies[-1] -= supplies.sum()
+    costs = {(u, v): float(np.abs(xy[u] - xy[v]).sum())
+             for u in range(n) for v in range(n) if u != v}
+    res = solve_flow(FlowProblem(n, supplies, tuple((u, v, c) for (u, v), c in costs.items())))
+    assert res.cost == _tree_flow_cost(n, costs, supplies)
+    assert res.phases <= res.augmentations
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_flow_phases_never_exceed_augmentations(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    supplies = rng.uniform(-2, 2, size=n)
+    supplies[-1] -= supplies.sum()
+    arcs = tuple(
+        (u, v, float(rng.integers(0, 4) if seed % 2 else rng.uniform(0.0, 3.0)))
+        for u in range(n) for v in range(n) if u != v
+    )
+    res = solve_flow(FlowProblem(n, supplies, arcs))
+    assert 1 <= res.phases <= res.augmentations
+
+
+def test_flow_phase_feeds_several_augmentations():
+    # full support on 40 points: one Dijkstra serves several deficit nodes
+    rng = np.random.default_rng(40)
+    space = rand_space(rng, 40)
+    mu = SignedMeasure(space, {i: float(rng.uniform(-2.0, 2.0)) for i in range(40)})
+    seen = []
+
+    def spy(problem, tol=1e-9):
+        seen.append(solve_flow(problem, tol=tol))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "solve_flow", spy)
+        kr_norm(mu)
+    res = seen.pop()
+    assert res.phases < res.augmentations
+
+
+def test_flow_grid_is_relative_to_the_problem_scale():
+    # costs and supplies far below unit scale keep their full precision
+    supplies = np.array([3e-30, -1e-30, -2e-30])
+    arcs = ((0, 1, 5e-26), (0, 2, 7e-26))
+    res = solve_flow(FlowProblem(3, supplies, arcs))
+    assert res.cost == pytest.approx(1.9e-55, rel=1e-15, abs=0.0)
+    assert list(res.flow) == pytest.approx([1e-30, 2e-30], rel=1e-15, abs=0.0)
 
 
 def test_flow_duals_certify_cost():

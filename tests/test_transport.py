@@ -270,6 +270,84 @@ def test_dirac_map_is_an_isometry():
                 assert kr_norm(diff).value == pytest.approx(space.d(i, j), abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# scale and ties
+
+
+def scaled(space: FiniteMetricSpace, s: float) -> FiniteMetricSpace:
+    return FiniteMetricSpace(space.labels, space.dist * s, space.basepoint)
+
+
+def on(space: FiniteMetricSpace, mu: SignedMeasure) -> SignedMeasure:
+    return SignedMeasure(space, mu.coeff)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(-80, 80))
+@settings(max_examples=40, deadline=None)
+def test_kr_norm_and_w1_scale_exactly_by_powers_of_two(seed, k):
+    rng = np.random.default_rng(seed)
+    space = (rand_space if seed % 2 else rand_repaired_space)(rng, int(rng.integers(2, 10)))
+    s = math.ldexp(1.0, k)
+    far = scaled(space, s)
+    mu = rand_measure(rng, space)
+    base = kr_norm(mu).value
+    assert kr_norm(on(far, mu)).value == s * base
+    assert kr_norm(mu * s).value == s * base
+    a = rand_measure(rng, space, nonneg=True)
+    b = rand_measure(rng, space, nonneg=True)
+    b = b * (a.mass() / b.mass())
+    base = w1(a, b).value
+    assert w1(on(far, a), on(far, b)).value == s * base
+    assert w1(a * s, b * s).value == s * base
+
+
+def test_kr_norm_far_below_unit_scale_keeps_its_precision():
+    rng = np.random.default_rng(25)
+    space = rand_space(rng, 40)
+    mu = SignedMeasure(space, {i: float(rng.uniform(-2.0, 2.0)) for i in range(40)})
+    unit = kr_norm(mu).value
+    tiny = kr_norm(on(scaled(space, 1e-25), mu))
+    assert tiny.value == pytest.approx(1e-25 * unit, rel=1e-9, abs=0.0)
+    assert verify_duality(tiny)[0]
+
+
+def grid_space(side: int = 6) -> FiniteMetricSpace:
+    """Path metric of the side x side grid graph: integer distances, many ties."""
+    xy = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    d = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+    return FiniteMetricSpace(tuple(f"c{i}_{j}" for i, j in xy.astype(int)), d, basepoint=0)
+
+
+def transport_lp_value(space: FiniteMetricSpace, supplies: np.ndarray) -> float:
+    """Independent oracle: scipy's linprog over flows on every ordered pair."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = space.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    A = np.zeros((n, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        A[i, k], A[j, k] = 1.0, -1.0
+    cost = [space.d(i, j) for i, j in pairs]
+    res = linprog(cost, A_eq=A[1:], b_eq=supplies[1:], bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tie_heavy_grid_metric_matches_linprog(seed):
+    rng = np.random.default_rng(seed)
+    space = grid_space()
+    n = space.n
+    mu = SignedMeasure(space, dict(enumerate(rng.integers(-3, 4, size=n).astype(float))))
+    res = kr_norm(mu)
+    assert res.value == pytest.approx(transport_lp_value(space, kr_supplies(mu)), rel=1e-9)
+    assert_direct_arcs(res, kr_supplies(mu))
+    a = rng.integers(0, 4, size=n).astype(float)
+    b = rng.permutation(a)
+    res = w1(SignedMeasure(space, dict(enumerate(a))), SignedMeasure(space, dict(enumerate(b))))
+    assert res.value == pytest.approx(transport_lp_value(space, a - b), rel=1e-9)
+    assert_direct_arcs(res, a - b)
+
+
 def broken_triangle() -> FiniteMetricSpace:
     """d(a, c) = 3 exceeds the detour d(a, b) + d(b, c) = 1 + 1.5."""
     d = three_point().dist.copy()
@@ -344,17 +422,19 @@ def verify_duality_loops(result, tol: float = 1e-9) -> tuple[bool, str]:
     n = space.n
     d = space.dist
     g = result.potentials
-    scale_d = max(1.0, float(space.diameter))
-    mass = 1.0
+    diam = max(float(d[i, j]) for i in range(n) for j in range(n))
+    mass = math.fsum(abs(c) for c in result.mu.coeff.values())
+    if result.eta is not None:
+        mass = max(mass, math.fsum(abs(c) for c in result.eta.coeff.values()))
 
-    if abs(float(g[space.basepoint])) > tol:
+    if abs(float(g[space.basepoint])) > tol * diam:
         return False, f"potential at the basepoint is {float(g[space.basepoint]):.3e}, not 0"
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             excess = float(g[i] - g[j]) - float(d[i, j])
-            if excess > tol * scale_d:
+            if excess > tol * diam:
                 a, bl = space.labels[i], space.labels[j]
                 return False, (
                     f"potential stretches pair ({a!r}, {bl!r}) by {excess:.3e} beyond their distance"
@@ -363,11 +443,11 @@ def verify_duality_loops(result, tol: float = 1e-9) -> tuple[bool, str]:
     for (i, j), fv in result.plan.items():
         if not (0 <= i < n and 0 <= j < n):
             return False, f"plan entry ({i}, {j}) indexes outside the space"
-        if fv < -tol:
+        if fv < -tol * mass:
             return False, f"plan entry ({i}, {j}) is negative: {fv:.3e}"
 
     plan_cost = math.fsum(fv * float(d[i, j]) for (i, j), fv in result.plan.items())
-    cost_scale = max(1.0, abs(result.value), mass * scale_d)
+    cost_scale = max(abs(result.value), mass * diam)
     if abs(plan_cost - result.value) > tol * cost_scale:
         return False, (
             f"plan cost {plan_cost!r} disagrees with the reported value {result.value!r}"
@@ -382,9 +462,9 @@ def verify_duality_loops(result, tol: float = 1e-9) -> tuple[bool, str]:
             row[i] += fv
             col[j] += fv
         for i in range(n):
-            if abs(row[i] - result.mu[i]) > tol * cost_scale:
+            if abs(row[i] - result.mu[i]) > tol * mass:
                 return False, f"plan row {i} sums to {row[i]!r}, expected mu = {result.mu[i]!r}"
-            if abs(col[i] - result.eta[i]) > tol * cost_scale:
+            if abs(col[i] - result.eta[i]) > tol * mass:
                 return False, f"plan column {i} sums to {col[i]!r}, expected eta = {result.eta[i]!r}"
     else:
         bp = space.basepoint
@@ -395,7 +475,7 @@ def verify_duality_loops(result, tol: float = 1e-9) -> tuple[bool, str]:
                 (fv if a == i else 0.0) - (fv if b == i else 0.0)
                 for (a, b), fv in result.plan.items()
             )
-            if abs(div - result.mu[i]) > tol * cost_scale:
+            if abs(div - result.mu[i]) > tol * mass:
                 return False, (
                     f"plan divergence at node {i} is {div!r}, expected coefficient {result.mu[i]!r}"
                 )
