@@ -4,10 +4,13 @@ Functions live on a space as dense value arrays, scalar or
 finite-vector valued.  mcshane_extend produces the pointwise-largest
 L-Lipschitz extension of a scalar function off a subset; member values
 are copied verbatim so the restriction is exact.  extend_by_projection
-applies a random projection linearly, row by row.  operator_norm
-evaluates the induced operator's norm by a direct LP over the unit ball
-of basepoint-vanishing Lipschitz functions on the subset — an
-independent route that must agree with projection_constant.
+applies a random projection linearly, as the product of its
+coefficient matrix with the values: a plain floating-point sum, not an
+exactly rounded one, though member values still reproduce exactly since
+member rows are point masses.  operator_norm evaluates the induced
+operator's norm by a direct LP over the unit ball of basepoint-vanishing
+Lipschitz functions on the subset — an independent route that must
+agree with projection_constant.
 """
 
 from __future__ import annotations
@@ -68,14 +71,6 @@ class PointFunction:
     def dim(self) -> int:
         return int(self.values.shape[1])
 
-    def diff_norm(self, i: int, j: int) -> float:
-        v = self.values[i] - self.values[j]
-        if self.norm == "sup":
-            return float(np.max(np.abs(v)))
-        if self.norm == "euclid":
-            return math.sqrt(math.fsum(float(t) * float(t) for t in v))
-        return abs(float(v[0]))
-
 
 def lip_norm(f: PointFunction) -> float:
     """Largest pairwise value-difference-to-distance ratio; 0 on a point."""
@@ -84,14 +79,19 @@ def lip_norm(f: PointFunction) -> float:
 
 def _worst_pair(f: PointFunction) -> tuple[int, int, float]:
     """The first pair (i, j), i < j, attaining lip_norm, and that ratio."""
-    space = f.space
-    best = (0, 0, 0.0)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            q = f.diff_norm(i, j) / float(space.dist[i, j])
-            if q > best[2]:
-                best = (i, j, q)
-    return best
+    i, j = np.triu_indices(f.space.n, 1)
+    diff = f.values[i] - f.values[j]
+    if f.norm == "sup":
+        size = np.max(np.abs(diff), axis=1)
+    elif f.norm == "euclid":
+        size = np.sqrt(np.sum(diff * diff, axis=1))
+    else:
+        size = np.abs(diff[:, 0])
+    q = size / f.space.dist[i, j]
+    if not np.any(q > 0.0):
+        return 0, 0, 0.0
+    k = int(np.argmax(q))
+    return int(i[k]), int(j[k]), float(q[k])
 
 
 def mcshane_extend(subspace: Subspace, f: PointFunction,
@@ -113,25 +113,17 @@ def mcshane_extend(subspace: Subspace, f: PointFunction,
     L = float(L)
     if not (math.isfinite(L) and L >= 0):
         raise ContractError("L must be a finite nonnegative real")
-    if L < lip - tol * max(1.0, lip):
+    if L < lip - tol * lip:
         la, lb = msp.labels[i], msp.labels[j]
         raise ContractError(
             f"L = {L!r} is below the Lipschitz constant {lip!r}; "
             f"the pair ({la!r}, {lb!r}) already needs {lip!r}"
         )
-    parent = subspace.parent
-    members = subspace.members
-    member_of = {m: k for k, m in enumerate(members)}
-    out = np.zeros(parent.n)
-    for x in range(parent.n):
-        if x in member_of:
-            out[x] = float(f.values[member_of[x], 0])
-        else:
-            out[x] = min(
-                float(f.values[k, 0]) + L * float(parent.dist[x, m])
-                for k, m in enumerate(members)
-            )
-    return PointFunction.scalar(parent, out)
+    members = list(subspace.members)
+    vals = f.values[:, 0]
+    out = np.min(vals + L * subspace.parent.dist[:, members], axis=1)
+    out[members] = vals
+    return PointFunction.scalar(subspace.parent, out)
 
 
 def extend_by_projection(upsilon: RandomProjection, f: PointFunction) -> PointFunction:
@@ -146,25 +138,12 @@ def extend_by_projection(upsilon: RandomProjection, f: PointFunction) -> PointFu
     msp = sub.to_space()
     if f.space != msp:
         raise ContractError("the function must live on the projection subset's induced space")
-    bp_local = msp.basepoint
-    if any(float(v) != 0.0 for v in f.values[bp_local]):
+    if np.any(f.values[msp.basepoint] != 0.0):
         raise ContractError(
             "the function must vanish at the basepoint in every coordinate; "
             "shift it by its basepoint value first"
         )
-    parent = sub.parent
-    members = sub.members
-    dim = f.dim
-    out = np.zeros((parent.n, dim))
-    for x in range(parent.n):
-        row = upsilon.rows[x]
-        for k in range(dim):
-            out[x, k] = math.fsum(
-                row[m] * float(f.values[i, k])
-                for i, m in enumerate(members)
-                if row[m] != 0.0
-            )
-    return PointFunction(parent, out, f.norm)
+    return PointFunction(sub.parent, upsilon.coeffs @ f.values, f.norm)
 
 
 def operator_norm(upsilon: RandomProjection, tol: float = 1e-9,
@@ -177,54 +156,24 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9,
     Agrees with projection_constant, which evaluates the same quantity
     through transport flows.
     """
-    sub = upsilon.subset
-    space = sub.parent
-    n = space.n
-    members = sub.members
-    if n < 2 or len(members) < 2:
-        return 0.0
-    msp = sub.to_space()
-    dM = msp.dist
-    bp_local = msp.basepoint
-    free = [i for i in range(len(members)) if i != bp_local]
-    pos = {i: k for k, i in enumerate(free)}
-    nv = len(free)
-    rows_A: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in free:
-        for j in free:
-            if i == j:
-                continue
-            row = np.zeros(nv)
-            row[pos[i]] = 1.0
-            row[pos[j]] = -1.0
-            rows_A.append(row)
-            rhs.append(float(dM[i, j]))
-    if rows_A:
-        A = np.array(rows_A)
-        senses = tuple("<=" for _ in rows_A)
-        b = np.array(rhs)
-    else:
-        A = np.zeros((0, nv))
-        senses = ()
-        b = np.zeros(0)
-    lb = np.array([-float(dM[i, bp_local]) for i in free])
-    ub = np.array([float(dM[i, bp_local]) for i in free])
-
+    msp = upsilon.subset.to_space()
+    free = np.flatnonzero(np.arange(msp.n) != msp.basepoint)
+    # one row f(i) - f(j) <= d(i, j) per ordered pair of free members
+    i, j = np.nonzero(~np.eye(free.size, dtype=bool))
+    slopes = np.eye(free.size)
+    A = slopes[i] - slopes[j]
+    b = msp.dist[free[i], free[j]]
+    bound = msp.dist[free, msp.basepoint]
+    dist = upsilon.space.dist
     best = 0.0
-    for x in range(n):
-        for y in range(x + 1, n):
-            diff = upsilon.rows[x] - upsilon.rows[y]
-            if not diff.support:
-                continue
-            c = np.array([diff[members[i]] for i in free])
-            if not np.any(c):
-                continue
-            lp = LinearProgram(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub, maximize=True)
-            res = solve_lp(lp, tol=tol, config=config)
-            if res.status != "optimal":
-                raise SolverError(f"pair LP unexpectedly {res.status}")
-            val = res.objective / float(space.dist[x, y])
-            if val > best:
-                best = val
+    for x, y in zip(*np.triu_indices(upsilon.space.n, 1)):
+        c = (upsilon.coeffs[x] - upsilon.coeffs[y])[free]
+        if not np.any(c):
+            continue
+        lp = LinearProgram(c=c, A=A, senses=("<=",) * b.size, b=b, lb=-bound, ub=bound,
+                           maximize=True)
+        res = solve_lp(lp, tol=tol, config=config)
+        if res.status != "optimal":
+            raise SolverError(f"pair LP unexpectedly {res.status}")
+        best = max(best, res.objective / float(dist[x, y]))
     return best

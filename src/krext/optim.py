@@ -228,7 +228,8 @@ class LinearProgram:
     """min (or max) c.x subject to row senses and box bounds.
 
     senses holds one of "<=", "==", ">=" per row.  Default bounds are
-    x >= 0; pass -inf/+inf entries for free variables.
+    x >= 0; pass -inf/+inf entries for free variables.  A variable is
+    either free or has a finite lower bound.
     """
 
     c: np.ndarray
@@ -257,6 +258,8 @@ class LinearProgram:
             raise ContractError("bound arrays must match the variable count")
         if np.any(lb > ub):
             raise ContractError("lower bound exceeds upper bound")
+        if np.any((lb == -np.inf) & (ub != np.inf)):
+            raise ContractError("a variable with no lower bound must have no upper bound")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ContractError("LP data must be finite")
         object.__setattr__(self, "c", c)
@@ -359,7 +362,6 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9,
     cols: list[np.ndarray] = []
     cobj: list[float] = []
     var_map: list[tuple] = []
-    const = 0.0
     bound_rows: list[tuple[int, float]] = []   # (column index, upper value) for shifted vars
     for j in range(n):
         lo, hi = p.lb[j], p.ub[j]
@@ -368,14 +370,8 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9,
             var_map.append(("split", len(cols), len(cols) + 1))
             cols.append(col.copy()); cobj.append(c0[j])
             cols.append(-col); cobj.append(-c0[j])
-        elif lo == -np.inf:
-            # mirror around the finite upper bound
-            var_map.append(("mirror", len(cols), hi))
-            const += c0[j] * hi
-            cols.append(-col); cobj.append(-c0[j])
         else:
             var_map.append(("shift", len(cols), lo))
-            const += c0[j] * lo
             cols.append(col.copy()); cobj.append(c0[j])
             if hi != np.inf:
                 bound_rows.append((len(cols) - 1, hi - lo))
@@ -389,8 +385,6 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9,
     for j in range(n):
         kind = var_map[j]
         if kind[0] == "shift" and kind[2] != 0.0:
-            b2 -= p.A[:, j] * kind[2]
-        elif kind[0] == "mirror":
             b2 -= p.A[:, j] * kind[2]
     b2 = np.concatenate([b2, [val for _, val in bound_rows]])
     for r, (cidx, _) in enumerate(bound_rows):
@@ -504,8 +498,6 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9,
         kind = var_map[j]
         if kind[0] == "split":
             x[j] = xfull[kind[1]] - xfull[kind[2]]
-        elif kind[0] == "mirror":
-            x[j] = kind[2] - xfull[kind[1]]
         else:
             x[j] = kind[2] + xfull[kind[1]]
     objective = float(c0 @ x) + 0.0

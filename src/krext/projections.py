@@ -6,10 +6,18 @@ M.  Its quality is the least K with dual-Lip distance between rows at
 most K*d(x, y) for all pairs; strong projections carry probability
 measures.  A gentle partition is the density-side picture: a finite
 probability space (Omega, P), a nonnegative density matrix psi, and an
-anchor map gamma into M.  The two pictures convert into each other, and
-the conversions here are arranged to be exact in floating point: the
-partition weights are dyadic (powers of two), so dividing and
-re-multiplying coefficients by them loses nothing.
+anchor map gamma into M.  The two pictures convert into each other.
+
+Every computation reads a projection through its coefficient matrix
+coeffs, of shape (n, |M|), so the constants, conversions and synthesis
+are array expressions.  The round trip projection -> partition ->
+projection is coefficient-exact: the partition weights are dyadic
+(powers of two), so dividing and re-multiplying coefficients by them
+loses nothing, and each push-forward sum has a single nonzero term.  The
+constants are plain floating-point sums over members, not exactly
+rounded ones; gentle_constant of the encoding of a projection still
+equals its weighted_tv_constant bit for bit, because both go through
+one helper with term-by-term equal inputs.
 
 Also here: the explicit two-atom construction for uniformly discrete
 subsets, minimal-K synthesis as a single linear program, the asymptotic
@@ -20,7 +28,7 @@ nonnegative l1 ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -95,32 +103,31 @@ class GentlePartition:
         if np.any(psi < -_VALID_TOL):
             w, x = map(int, np.argwhere(psi < -_VALID_TOL)[0])
             raise ContractError(f"psi[{w}, {x}] = {psi[w, x]!r} is negative")
-        members = set(sub.members)
-        for w, g in enumerate(gamma):
-            if g not in members:
-                raise ContractError(f"gamma[{w}] = {g} is not a subset member")
-        for x in range(n):
-            avg = math.fsum(float(weights[w]) * float(psi[w, x]) for w in range(k))
-            if x in members:
-                if abs(avg) <= _VALID_TOL and float(np.max(np.abs(psi[:, x]))) <= _VALID_TOL:
-                    continue
-                # the column may instead push forward to the point mass at x
-                for m in sub.members:
-                    push = math.fsum(
-                        float(weights[w]) * float(psi[w, x])
-                        for w in range(k) if gamma[w] == m
-                    )
-                    want = 1.0 if m == x else 0.0
-                    if abs(push - want) > _VALID_TOL:
-                        raise ContractError(
-                            f"member column {x} must vanish or push forward to its "
-                            f"own point mass; anchor {m} collects {push!r}"
-                        )
-            else:
-                if abs(avg - 1.0) > _VALID_TOL:
-                    raise ContractError(
-                        f"exterior column {x} must average to 1 under P, got {avg!r}"
-                    )
+        members = np.array(sub.members)
+        outside = np.flatnonzero(~np.isin(gamma, members))
+        if outside.size:
+            w = int(outside[0])
+            raise ContractError(f"gamma[{w}] = {gamma[w]} is not a subset member")
+        avg = weights @ psi
+        push = _anchor_matrix(members, gamma) @ (weights[:, None] * psi)   # (|M|, n)
+        is_member = np.isin(np.arange(n), members)
+        vanish = (np.abs(avg) <= _VALID_TOL) & (np.max(np.abs(psi), axis=0) <= _VALID_TOL)
+        # a member column may instead push forward to the point mass at itself
+        off = np.abs(push - (members[:, None] == np.arange(n))) > _VALID_TOL
+        bad_member = is_member & ~vanish & off.any(axis=0)
+        bad_exterior = ~is_member & (np.abs(avg - 1.0) > _VALID_TOL)
+        bad = np.flatnonzero(bad_member | bad_exterior)
+        if bad.size:
+            x = int(bad[0])
+            if bad_member[x]:
+                a = int(np.argmax(off[:, x]))
+                raise ContractError(
+                    f"member column {x} must vanish or push forward to its "
+                    f"own point mass; anchor {int(members[a])} collects {float(push[a, x])!r}"
+                )
+            raise ContractError(
+                f"exterior column {x} must average to 1 under P, got {float(avg[x])!r}"
+            )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "gamma", gamma)
@@ -139,12 +146,15 @@ class RandomProjection:
     """One measure per point of the space, each supported in the subset.
 
     rows[x] is exactly the point mass at x for subset members.  When
-    strong is set, every row must be a probability measure.
+    strong is set, every row must be a probability measure.  coeffs is
+    the same data as a read-only (n, |M|) array, coeffs[x, k] =
+    rows[x](members[k]), derived from the rows on construction.
     """
 
     subset: Subspace
     rows: tuple[SignedMeasure, ...]
     strong: bool
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sub = self.subset
@@ -173,22 +183,47 @@ class RandomProjection:
                     raise ContractError(
                         f"strong projection row {x} has mass {row.mass()!r}, expected 1"
                     )
+        coeffs = np.array([row.as_vector() for row in rows])[:, list(sub.members)]
+        coeffs.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def space(self) -> FiniteMetricSpace:
         return self.subset.parent
 
 
+def _from_coeffs(subset: Subspace, coeffs: np.ndarray, strong: bool) -> RandomProjection:
+    """The projection with row x = sum_k coeffs[x, k] * delta(members[k]).
+
+    Member rows are set to their point masses whatever coeffs holds there.
+    """
+    c = np.array(coeffs, dtype=float)
+    c[list(subset.members)] = np.eye(subset.size)
+    space = subset.parent
+    rows = tuple(SignedMeasure(space, dict(zip(subset.members, r))) for r in c.tolist())
+    return RandomProjection(subset, rows, strong)
+
+
+def _anchor_matrix(members: Sequence[int], gamma: Sequence[int]) -> np.ndarray:
+    """One-hot (|M|, outcomes) matrix: entry [k, w] is 1 when gamma[w] = members[k]."""
+    return (np.asarray(members)[:, None] == np.asarray(gamma)).astype(float)
+
+
 def identity_projection(space: FiniteMetricSpace) -> RandomProjection:
     """The projection onto M = X: every row is its own point mass."""
-    sub = Subspace(space, tuple(range(space.n)))
-    rows = tuple(SignedMeasure.dirac(space, x) for x in range(space.n))
-    return RandomProjection(sub, rows, strong=True)
+    return _from_coeffs(Subspace(space, tuple(range(space.n))), np.eye(space.n), strong=True)
 
 
 # ---------------------------------------------------------------------------
 # constants
+
+
+def _max_weighted_variation(d: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """Max over x != y of sum_k w[k, x] * |v[k, x] - v[k, y]| / d(x, y); 0 on a point."""
+    total = (w[:, :, None] * np.abs(v[:, :, None] - v[:, None, :])).sum(axis=0)
+    off = ~np.eye(d.shape[0], dtype=bool)
+    return float(np.max(total[off] / d[off], initial=0.0))
 
 
 def gentle_constant(g: GentlePartition) -> float:
@@ -197,26 +232,8 @@ def gentle_constant(g: GentlePartition) -> float:
     Maximum over ordered pairs x != y of
     sum_w P(w) * d(gamma(w), x) * |psi(w, x) - psi(w, y)| / d(x, y).
     """
-    space = g.space
-    n = space.n
-    d = space.dist
-    P = g.weights
-    psi = g.psi
-    gamma = g.gamma
-    k = g.n_outcomes
-    best = 0.0
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            total = math.fsum(
-                float(P[w]) * (float(d[gamma[w], x]) * abs(float(psi[w, x]) - float(psi[w, y])))
-                for w in range(k)
-            )
-            quot = total / float(d[x, y])
-            if quot > best:
-                best = quot
-    return best
+    d = g.space.dist
+    return _max_weighted_variation(d, g.weights[:, None] * d[list(g.gamma)], g.psi)
 
 
 def weighted_tv_constant(p: RandomProjection) -> float:
@@ -225,24 +242,8 @@ def weighted_tv_constant(p: RandomProjection) -> float:
     sum over members m of d(m, x) * |rows[x](m) - rows[y](m)|, divided
     by d(x, y); dominates the dual-Lip quotient of projection_constant.
     """
-    space = p.space
-    n = space.n
-    d = space.dist
-    members = p.subset.members
-    rows = p.rows
-    best = 0.0
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            total = math.fsum(
-                float(d[m, x]) * abs(rows[x][m] - rows[y][m])
-                for m in members
-            )
-            quot = total / float(d[x, y])
-            if quot > best:
-                best = quot
-    return best
+    d = p.space.dist
+    return _max_weighted_variation(d, d[list(p.subset.members)], p.coeffs.T)
 
 
 def projection_constant(p: RandomProjection, tol: float = 1e-9) -> float:
@@ -277,29 +278,8 @@ def gentle_to_projection(g: GentlePartition) -> RandomProjection:
     The result is strong, and its projection constant never exceeds the
     gentle constant.
     """
-    space = g.space
-    sub = g.subset
-    members = sub.members
-    k = g.n_outcomes
-    P = g.weights
-    psi = g.psi
-    gamma = g.gamma
-    member_set = set(members)
-    rows: list[SignedMeasure] = []
-    for x in range(space.n):
-        if x in member_set:
-            rows.append(SignedMeasure.dirac(space, x))
-            continue
-        coeff: dict[int, float] = {}
-        for m in members:
-            c = math.fsum(
-                float(P[w]) * float(psi[w, x])
-                for w in range(k) if gamma[w] == m
-            )
-            if c != 0.0:
-                coeff[m] = c
-        rows.append(SignedMeasure(space, coeff))
-    return RandomProjection(sub, tuple(rows), strong=True)
+    push = _anchor_matrix(g.subset.members, g.gamma) @ (g.weights[:, None] * g.psi)
+    return _from_coeffs(g.subset, push.T, strong=True)
 
 
 def _dyadic_weights(k: int) -> np.ndarray:
@@ -327,19 +307,8 @@ def projection_to_gentle(p: RandomProjection) -> GentlePartition:
     """
     if not p.strong:
         raise ContractError("only strong projections admit a density form here")
-    space = p.space
-    sub = p.subset
-    members = sub.members
-    k = len(members)
-    P = _dyadic_weights(k)
-    psi = np.zeros((k, space.n))
-    for x in range(space.n):
-        row = p.rows[x]
-        for i, m in enumerate(members):
-            c = row[m]
-            if c != 0.0:
-                psi[i, x] = c / float(P[i])
-    return GentlePartition(sub, P, psi, tuple(members))
+    P = _dyadic_weights(p.subset.size)
+    return GentlePartition(p.subset, P, p.coeffs.T / P[:, None], p.subset.members)
 
 
 # ---------------------------------------------------------------------------
@@ -361,52 +330,37 @@ def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
         raise ContractError("subset belongs to a different space")
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError("eps must be a positive real")
-    members = subset.members
-    if t0 not in members:
+    members = np.array(subset.members)
+    if t0 not in subset.members:
         raise ContractError(f"reference point {t0} is not a subset member")
     d = space.dist
-    scale = max(eps, 1.0)
-    for a in members:
-        for b in members:
-            if a < b and float(d[a, b]) < eps - tol * scale:
-                raise ContractError(
-                    f"subset is not {eps!r}-separated: d({space.labels[a]!r}, "
-                    f"{space.labels[b]!r}) = {float(d[a, b])!r}"
-                )
-    member_set = set(members)
-    half = eps / 2.0
-    rows: list[SignedMeasure] = []
-    for x in range(space.n):
-        if x in member_set:
-            rows.append(SignedMeasure.dirac(space, x))
-            continue
-        # nearest member strictly inside its eps/2 ball, if any (ties: lowest index)
-        best_t = -1
-        best_d = half
-        for t in members:
-            dxt = float(d[x, t])
-            if dxt < best_d:
-                best_t, best_d = t, dxt
-        if best_t < 0 or best_t == t0:
-            rows.append(SignedMeasure.dirac(space, t0))
-            continue
-        c0 = (2.0 / eps) * best_d
-        ct = 1.0 - c0   # equals (2/eps)*(eps/2 - d) and keeps the mass at exactly 1
-        coeff = {t0: c0, best_t: ct}
-        rows.append(SignedMeasure(space, coeff))
-    return RandomProjection(subset, tuple(rows), strong=True)
+    i, j = np.triu_indices(members.size, 1)
+    close = np.flatnonzero(d[members[i], members[j]] < eps - tol * eps)
+    if close.size:
+        a, b = members[i[close[0]]], members[j[close[0]]]
+        raise ContractError(
+            f"subset is not {eps!r}-separated: d({space.labels[a]!r}, "
+            f"{space.labels[b]!r}) = {float(d[a, b])!r}"
+        )
+    # nearest member strictly inside its eps/2 ball, if any (ties: lowest index)
+    near = d[:, members]
+    t = np.argmin(near, axis=1)
+    dt = near[np.arange(space.n), t]
+    split = (dt < eps / 2.0) & (members[t] != t0)
+    c0 = (2.0 / eps) * dt
+    coeffs = np.zeros((space.n, members.size))
+    coeffs[:, subset.members.index(t0)] = np.where(split, c0, 1.0)
+    # 1 - c0 equals (2/eps)*(eps/2 - d) and keeps the mass at exactly 1
+    coeffs[split, t[split]] = 1.0 - c0[split]
+    return _from_coeffs(subset, coeffs, strong=True)
 
 
 def uniform_discrete_bound(space: FiniteMetricSpace, subset: Subspace, eps: float) -> float:
     """The 2*max(D, eps)/eps guarantee for the two-atom construction."""
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError("eps must be a positive real")
-    members = subset.members
-    diam = 0.0
-    for a in members:
-        for b in members:
-            if a < b:
-                diam = max(diam, float(space.dist[a, b]))
+    members = list(subset.members)
+    diam = float(np.max(space.dist[np.ix_(members, members)]))
     return 2.0 * max(diam, eps) / eps
 
 
@@ -440,120 +394,77 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     if subset.parent != space:
         raise ContractError("subset belongs to a different space")
     n = space.n
-    members = subset.members
-    member_set = set(members)
-    exterior = tuple(x for x in range(n) if x not in member_set)
     d = space.dist
-    bp = space.basepoint
+    members = np.array(subset.members)
+    m = members.size
+    is_member = np.isin(np.arange(n), members)
+    exterior = np.flatnonzero(~is_member)
+    if not exterior.size:
+        return SynthesisResult(1.0 if n >= 2 else 0.0, _from_coeffs(subset, np.eye(n), strong=True))
+    if m == 1:
+        return SynthesisResult(0.0, _from_coeffs(subset, np.ones((n, 1)), strong=True))
 
-    if not exterior:
-        rows = tuple(SignedMeasure.dirac(space, x) for x in range(n))
-        k_star = 1.0 if n >= 2 else 0.0
-        return SynthesisResult(k_star, RandomProjection(subset, rows, strong=True))
-    if len(members) == 1:
-        rows = tuple(SignedMeasure.dirac(space, bp) for _ in range(n))
-        return SynthesisResult(0.0, RandomProjection(subset, rows, strong=True))
+    # variables: K, then one coefficient per (exterior point, member), then
+    # one flow per arc (a, b), a != b, of M in every pair block
+    n_ext = exterior.size
+    tails, heads = np.nonzero(~np.eye(m, dtype=bool))
+    n_arcs = tails.size
+    i_all, j_all = np.triu_indices(n, 1)
+    inside = is_member[i_all] & is_member[j_all]
+    pairs_i, pairs_j = i_all[~inside], j_all[~inside]
+    n_pairs = pairs_i.size
+    ext_pos = np.zeros(n, dtype=int)
+    ext_pos[exterior] = np.arange(n_ext)
+    n_coef = 1 + n_ext * m
+    n_vars = n_coef + n_pairs * n_arcs
 
-    m = len(members)
-    arcs = [(a, b) for a in members for b in members if a != b]
-    n_arcs = len(arcs)
-    pairs = [
-        (i, j)
-        for i in range(n) for j in range(i + 1, n)
-        if not (i in member_set and j in member_set)
-    ]
-    ext_index = {x: k for k, x in enumerate(exterior)}
-    mem_pos = {mm: k for k, mm in enumerate(members)}
-
-    def rvar(x: int, mm: int) -> int:
-        return 1 + ext_index[x] * m + mem_pos[mm]
-
-    n_vars = 1 + len(exterior) * m + len(pairs) * n_arcs
-
-    rows_A: list[np.ndarray] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-
-    def new_row() -> np.ndarray:
-        row = np.zeros(n_vars)
-        rows_A.append(row)
-        return row
-
-    # each exterior row carries total mass 1
-    for x in exterior:
-        row = new_row()
-        for mm in members:
-            row[rvar(x, mm)] = 1.0
-        senses.append("==")
-        rhs.append(1.0)
-
-    # pairs inside the subset force K >= 1
-    row = new_row()
-    row[0] = 1.0
-    senses.append(">=")
-    rhs.append(1.0)
-
-    for p_idx, (i, j) in enumerate(pairs):
-        base = 1 + len(exterior) * m + p_idx * n_arcs
-        # balance at every member except the basepoint
-        for mm in members:
-            if mm == bp:
-                continue
-            row = new_row()
-            for a_idx, (a, b) in enumerate(arcs):
-                if a == mm:
-                    row[base + a_idx] += 1.0
-                if b == mm:
-                    row[base + a_idx] -= 1.0
-            const = 0.0
-            if i in member_set:
-                const += 1.0 if i == mm else 0.0
+    # rows: each exterior row carries total mass 1; pairs inside the subset
+    # force K >= 1; then per pair, balance at every member but the
+    # basepoint and the transport cost within K*d(i, j)
+    A = np.zeros((n_ext + 1 + n_pairs * m, n_vars))
+    b = np.zeros(A.shape[0])
+    A[:n_ext, 1:n_coef] = np.kron(np.eye(n_ext), np.ones(m))
+    b[:n_ext] = 1.0
+    A[n_ext, 0] = 1.0
+    b[n_ext] = 1.0
+    balanced = np.flatnonzero(members != space.basepoint)
+    node = np.arange(m)[:, None]
+    block = np.vstack([
+        ((tails == node).astype(float) - (heads == node))[balanced],
+        d[members[tails], members[heads]],
+    ])
+    bal_rows = np.arange(m - 1)
+    for p, (i, j) in enumerate(zip(pairs_i, pairs_j)):
+        r = n_ext + 1 + p * m
+        col = n_coef + p * n_arcs
+        A[r:r + m, col:col + n_arcs] = block
+        A[r + m - 1, 0] = -d[i, j]
+        # net outflow at each balanced member is rows[i] - rows[j] there:
+        # a coefficient variable for an exterior point, a constant for a member
+        for x, sign in ((i, 1.0), (j, -1.0)):
+            if is_member[x]:
+                b[r:r + m - 1] += sign * (members[balanced] == x)
             else:
-                row[rvar(i, mm)] -= 1.0
-            if j in member_set:
-                const -= 1.0 if j == mm else 0.0
-            else:
-                row[rvar(j, mm)] += 1.0
-            senses.append("==")
-            rhs.append(const)
-        # total transport cost within K*d(i, j)
-        row = new_row()
-        for a_idx, (a, b) in enumerate(arcs):
-            row[base + a_idx] = float(d[a, b])
-        row[0] = -float(d[i, j])
-        senses.append("<=")
-        rhs.append(0.0)
+                A[r + bal_rows, 1 + ext_pos[x] * m + balanced] = -sign
+    senses = ("==",) * n_ext + (">=",) + (("==",) * (m - 1) + ("<=",)) * n_pairs
 
     lb = np.zeros(n_vars)
     if mode == "signed":
-        for x in exterior:
-            for mm in members:
-                lb[rvar(x, mm)] = -np.inf
+        lb[1:n_coef] = -np.inf
     c = np.zeros(n_vars)
     c[0] = 1.0
-    lp = LinearProgram(c=c, A=np.array(rows_A), senses=tuple(senses),
-                       b=np.array(rhs), lb=lb)
+    lp = LinearProgram(c=c, A=A, senses=senses, b=b, lb=lb)
     res = solve_lp(lp, tol=tol, config=config)
     if res.status != "optimal":
         raise SolverError(
             f"synthesis LP ended {res.status} on |X|={n}, |M|={m}, mode={mode}"
         )
 
-    proj_rows: list[SignedMeasure] = []
-    for x in range(n):
-        if x in member_set:
-            proj_rows.append(SignedMeasure.dirac(space, x))
-            continue
-        coeff: dict[int, float] = {}
-        for mm in members:
-            v = float(res.x[rvar(x, mm)])
-            if mode == "strong" and -1e-11 <= v < 0.0:
-                v = 0.0
-            if v != 0.0:
-                coeff[mm] = v
-        proj_rows.append(SignedMeasure(space, coeff))
-    projection = RandomProjection(subset, tuple(proj_rows), strong=(mode == "strong"))
-    return SynthesisResult(float(res.x[0]), projection)
+    coeffs = np.zeros((n, m))
+    coeffs[exterior] = res.x[1:n_coef].reshape(n_ext, m)
+    if mode == "strong":
+        coeffs[(-1e-11 <= coeffs) & (coeffs < 0.0)] = 0.0
+    return SynthesisResult(float(res.x[0]), _from_coeffs(subset, coeffs, mode == "strong"))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from krext import (
     subspace_from_labels,
     uniform_discrete_projection,
 )
+from krext.extension import _worst_pair
 from test_metric import three_point
 
 
@@ -115,6 +116,62 @@ def test_mcshane_rejects_too_small_budget():
     f = PointFunction.scalar(sub.to_space(), [0.0, 1.0])
     with pytest.raises(ContractError, match="Lipschitz"):
         mcshane_extend(sub, f, L=0.5)
+
+
+def test_mcshane_budget_check_is_relative_to_the_lipschitz_constant():
+    # f = [0, s] on two points at distance 1 has Lip = s; L = 0 is too small at every scale
+    space = FiniteMetricSpace(("a", "b", "c"), np.array([[0.0, 1.0, 2.0],
+                                                         [1.0, 0.0, 1.0],
+                                                         [2.0, 1.0, 0.0]]))
+    sub = subspace_from_labels(space, ["a", "b"])
+    for k in range(-60, 61, 5):
+        s = 2.0 ** k
+        f = PointFunction.scalar(sub.to_space(), [0.0, s])
+        with pytest.raises(ContractError, match="below the Lipschitz constant"):
+            mcshane_extend(sub, f, L=0.0)
+        with pytest.raises(ContractError, match="below the Lipschitz constant"):
+            mcshane_extend(sub, f, L=s * (1.0 - 1e-6))
+        out = mcshane_extend(sub, f, L=s)
+        assert lip_norm(out) == s
+
+
+def worst_pair_loops(f: PointFunction) -> tuple[int, int, float]:
+    """The worst pair in its original loop form: first (i, j), i < j, in row order."""
+    space = f.space
+    best = (0, 0, 0.0)
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            v = f.values[i] - f.values[j]
+            if f.norm == "sup":
+                size = float(np.max(np.abs(v)))
+            elif f.norm == "euclid":
+                size = math.sqrt(math.fsum(float(t) * float(t) for t in v))
+            else:
+                size = abs(float(v[0]))
+            q = size / float(space.dist[i, j])
+            if q > best[2]:
+                best = (i, j, q)
+    return best
+
+
+def test_worst_pair_matches_the_loop_reference():
+    # integer values on an integer line make many pairs tie for the maximum
+    rng = np.random.default_rng(59)
+    for trial in range(60):
+        n = int(rng.integers(1, 8))
+        coords = np.sort(rng.choice(np.arange(20.0), size=n, replace=False))
+        space = FiniteMetricSpace(tuple(f"x{i}" for i in range(n)),
+                                  np.abs(np.subtract.outer(coords, coords)))
+        norm = ("abs", "sup", "euclid")[trial % 3]
+        dim = 1 if norm == "abs" else int(rng.integers(1, 4))
+        values = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        if trial % 2:
+            values = values * rng.uniform(0.5, 2.0)
+        f = PointFunction(space, values, norm)
+        i, j, q = _worst_pair(f)
+        ri, rj, rq = worst_pair_loops(f)
+        assert (i, j) == (ri, rj)
+        assert q == pytest.approx(rq, rel=1e-15, abs=0.0)
 
 
 def test_mcshane_rejects_vector_targets():

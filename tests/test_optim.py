@@ -341,6 +341,13 @@ def test_lp_validates_shapes():
         LinearProgram(np.array([1.0]), np.array([[1.0]]), ("!",), np.array([1.0]))
 
 
+def test_lp_rejects_an_upper_bound_without_a_lower_bound():
+    # a variable is either free or bounded below; x <= 3 alone is not a kind solve_lp takes
+    with pytest.raises(ContractError, match="no lower bound"):
+        LinearProgram(np.array([1.0]), np.zeros((0, 1)), (), np.zeros(0),
+                      lb=np.array([-np.inf]), ub=np.array([3.0]))
+
+
 def test_lp_degenerate_instance_terminates():
     # many redundant rows meeting at one vertex: stalls Dantzig, Bland must finish
     n = 4

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     rand_gentle,
+    rand_signed_projection,
     rand_space,
     rand_strong_projection,
     rand_subspace,
@@ -36,6 +38,8 @@ from krext import (
     uniform_discrete_projection,
     weighted_tv_constant,
 )
+from krext import projections
+from krext.optim import solve_lp
 from test_metric import three_point
 
 
@@ -104,6 +108,121 @@ def test_gentle_partition_member_columns_zero_or_pushforward():
     psi = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
     with pytest.raises(ContractError, match="push"):
         GentlePartition(sub, weights, psi, (0, 1))
+
+
+def test_projection_coeffs_match_rows():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        space = rand_space(rng, int(rng.integers(1, 8)))
+        subset = rand_subspace(rng, space)
+        build = rand_strong_projection if trial % 2 else rand_signed_projection
+        for p in (build(rng, subset), gentle_to_projection(rand_gentle(rng, subset))):
+            assert p.coeffs.shape == (space.n, subset.size)
+            for x in range(space.n):
+                for k, m in enumerate(subset.members):
+                    assert p.coeffs[x, k] == p.rows[x][m]
+            with pytest.raises(ValueError):
+                p.coeffs[0, 0] = 2.0
+
+
+def gentle_partition_loops(sub, weights, psi, gamma) -> str | None:
+    """The partition checks in their original loop form: the first message, or None."""
+    space = sub.parent
+    n = space.n
+    weights = np.asarray(weights, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    gamma = tuple(int(g) for g in gamma)
+    tol = 1e-9
+    if weights.ndim != 1 or weights.size == 0:
+        return "weights must be a nonempty vector"
+    k = weights.size
+    if psi.shape != (k, n):
+        return f"psi must have shape ({k}, {n}), got {psi.shape}"
+    if len(gamma) != k:
+        return "gamma must assign an anchor to every outcome"
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(psi))):
+        return "weights and psi must be finite"
+    if np.any(weights < -tol):
+        return "weights must be nonnegative"
+    total = math.fsum(float(w) for w in weights)
+    if abs(total - 1.0) > tol:
+        return f"weights must sum to 1, got {total!r}"
+    if np.any(psi < -tol):
+        w, x = map(int, np.argwhere(psi < -tol)[0])
+        return f"psi[{w}, {x}] = {psi[w, x]!r} is negative"
+    members = set(sub.members)
+    for w, g in enumerate(gamma):
+        if g not in members:
+            return f"gamma[{w}] = {g} is not a subset member"
+    for x in range(n):
+        avg = math.fsum(float(weights[w]) * float(psi[w, x]) for w in range(k))
+        if x in members:
+            if abs(avg) <= tol and float(np.max(np.abs(psi[:, x]))) <= tol:
+                continue
+            for m in sub.members:
+                push = math.fsum(
+                    float(weights[w]) * float(psi[w, x]) for w in range(k) if gamma[w] == m
+                )
+                want = 1.0 if m == x else 0.0
+                if abs(push - want) > tol:
+                    return (f"member column {x} must vanish or push forward to its "
+                            f"own point mass; anchor {m} collects {push!r}")
+        elif abs(avg - 1.0) > tol:
+            return f"exterior column {x} must average to 1 under P, got {avg!r}"
+    return None
+
+
+_FLOAT = re.compile(r"-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|inf|nan)")
+
+
+def assert_same_message(got: str | None, want: str | None) -> None:
+    """Equal text; the floats in it agree to a few ulps (plain sums replaced fsum)."""
+    assert (got is None) == (want is None), (got, want)
+    if got is None:
+        return
+    assert _FLOAT.sub("#", got) == _FLOAT.sub("#", want)
+    for a, b in zip(_FLOAT.findall(got), _FLOAT.findall(want)):
+        assert math.isclose(float(a), float(b), rel_tol=1e-14, abs_tol=1e-15), (got, want)
+
+
+def test_gentle_partition_checks_match_the_loop_reference():
+    rng = np.random.default_rng(71)
+    verdicts = set()
+    for trial in range(300):
+        space = rand_space(rng, int(rng.integers(1, 7)))
+        sub = rand_subspace(rng, space)
+        g = rand_gentle(rng, sub)
+        weights, psi, gamma = g.weights.copy(), g.psi.copy(), list(g.gamma)
+        k, n = psi.shape
+        # several columns at once, so the first-violation order matters
+        cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        damage = trial % 9
+        if damage == 1:        # columns rescaled: average or push-forward off
+            psi[:, cols] *= rng.uniform(0.5, 1.5, size=cols.size)
+        elif damage == 2:      # negative densities
+            psi[rng.integers(k, size=cols.size), cols] = -0.1
+        elif damage == 3 and sub.size < n:     # an anchor outside the subset
+            gamma[int(rng.integers(k))] = sub.complement()[0]
+        elif damage == 4:      # weights no longer a probability vector
+            weights = weights * 1.01
+        elif damage == 5:      # vanishing columns: valid for members only
+            psi[:, cols] = 0.0
+        elif damage == 6:      # noise inside the tolerance
+            psi += rng.uniform(0.0, 1e-12, size=psi.shape)
+        elif damage == 7:      # densities moved to other outcomes
+            psi[:, cols] = psi[rng.permutation(k)][:, cols]
+        elif damage == 8:      # a negative weight
+            weights[int(rng.integers(k))] = -0.2
+        want = gentle_partition_loops(sub, weights, psi, gamma)
+        try:
+            GentlePartition(sub, weights, psi, tuple(gamma))
+            got = None
+        except ContractError as exc:
+            got = str(exc)
+        assert_same_message(got, want)
+        verdicts.add(want and want.split("[")[0].split(" ")[0])
+    # valid partitions and every kind of damage occur in the sweep
+    assert verdicts == {None, "member", "exterior", "gamma", "psi", "weights"}
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +466,19 @@ def test_udp_rejects_insufficient_separation():
         uniform_discrete_projection(space, sub, eps=10.0, t0=0)
 
 
+def test_udp_separation_check_is_relative_to_eps():
+    # d(0, 1) = eps/2 breaks eps-separation at every scale, {0, 10} never does
+    base = line_space(0, 1, 3, 10)
+    for k in range(-60, 61, 5):
+        s = 2.0 ** k
+        space = FiniteMetricSpace(base.labels, base.dist * s)
+        with pytest.raises(ContractError, match="separat"):
+            uniform_discrete_projection(space, Subspace(space, (0, 1, 3)), eps=2.0 * s, t0=0)
+        p = uniform_discrete_projection(space, Subspace(space, (0, 3)), eps=2.0 * s, t0=0)
+        ref = uniform_discrete_projection(base, Subspace(base, (0, 3)), eps=2.0, t0=0)
+        assert np.array_equal(p.coeffs, ref.coeffs)
+
+
 def test_udp_bound_formula_and_tightness():
     space = line_space(0, 3, 8, 10)
     sub = subspace_from_labels(space, ["0", "10"])
@@ -405,6 +537,103 @@ def synthesis_oracle_two_members(space, subset, grid=4001) -> float:
                 worst = max(worst, kr_norm(diff).value / space.d(x, m))
         best = min(best, worst)
     return best if exterior else 1.0
+
+
+def synthesis_lp_loops(space, subset, mode):
+    """The synthesis LP (c, A, senses, b, lb) built row by row, as in its original form."""
+    n = space.n
+    members = subset.members
+    member_set = set(members)
+    exterior = tuple(x for x in range(n) if x not in member_set)
+    d = space.dist
+    bp = space.basepoint
+    m = len(members)
+    arcs = [(a, b) for a in members for b in members if a != b]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if not (i in member_set and j in member_set)]
+    ext_index = {x: k for k, x in enumerate(exterior)}
+    mem_pos = {mm: k for k, mm in enumerate(members)}
+
+    def rvar(x, mm):
+        return 1 + ext_index[x] * m + mem_pos[mm]
+
+    n_vars = 1 + len(exterior) * m + len(pairs) * len(arcs)
+    rows, senses, rhs = [], [], []
+
+    def new_row(sense, value):
+        rows.append(np.zeros(n_vars))
+        senses.append(sense)
+        rhs.append(value)
+        return rows[-1]
+
+    for x in exterior:
+        row = new_row("==", 1.0)
+        for mm in members:
+            row[rvar(x, mm)] = 1.0
+    new_row(">=", 1.0)[0] = 1.0
+    for p_idx, (i, j) in enumerate(pairs):
+        base = 1 + len(exterior) * m + p_idx * len(arcs)
+        for mm in members:
+            if mm == bp:
+                continue
+            const = 0.0
+            if i in member_set:
+                const += 1.0 if i == mm else 0.0
+            if j in member_set:
+                const -= 1.0 if j == mm else 0.0
+            row = new_row("==", const)
+            for a_idx, (a, b) in enumerate(arcs):
+                if a == mm:
+                    row[base + a_idx] += 1.0
+                if b == mm:
+                    row[base + a_idx] -= 1.0
+            if i not in member_set:
+                row[rvar(i, mm)] -= 1.0
+            if j not in member_set:
+                row[rvar(j, mm)] += 1.0
+        row = new_row("<=", 0.0)
+        for a_idx, (a, b) in enumerate(arcs):
+            row[base + a_idx] = float(d[a, b])
+        row[0] = -float(d[i, j])
+    lb = np.zeros(n_vars)
+    if mode == "signed":
+        for x in exterior:
+            for mm in members:
+                lb[rvar(x, mm)] = -np.inf
+    c = np.zeros(n_vars)
+    c[0] = 1.0
+    rows_of = {x: {mm: rvar(x, mm) for mm in members} for x in exterior}
+    return c, np.array(rows), tuple(senses), np.array(rhs), lb, rows_of
+
+
+@pytest.mark.parametrize("mode", ["strong", "signed"])
+def test_synthesis_lp_matches_the_loop_reference(mode, monkeypatch):
+    solved = []
+
+    def capture(lp, **kwargs):
+        solved.append((lp, solve_lp(lp, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(projections, "solve_lp", capture)
+    rng = np.random.default_rng(97)
+    for _ in range(25):
+        space = rand_space(rng, int(rng.integers(3, 8)))
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
+        solved.clear()
+        res = synthesize_min_k(space, subset, mode=mode)
+        c, A, senses, b, lb, rows_of = synthesis_lp_loops(space, subset, mode)
+        ((lp, sol),) = solved
+        assert np.array_equal(lp.c, c) and np.array_equal(lp.A, A)
+        assert np.array_equal(lp.b, b) and np.array_equal(lp.lb, lb)
+        assert lp.senses == senses
+        # K* and the rows are read off the solution as the loop form read them
+        assert res.k_star == float(sol.x[0])
+        for x, cols in rows_of.items():
+            for mm, col in cols.items():
+                v = float(sol.x[col])
+                if mode == "strong" and -1e-11 <= v < 0.0:
+                    v = 0.0
+                assert res.projection.rows[x][mm] == v
 
 
 def test_synthesize_full_subset_returns_identity():
