@@ -165,15 +165,19 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9,
     b = msp.dist[free[i], free[j]]
     bound = msp.dist[free, msp.basepoint]
     dist = upsilon.space.dist
+    objectives: dict[bytes, float] = {}   # pairs with equal c share one LP
     best = 0.0
     for x, y in zip(*np.triu_indices(upsilon.space.n, 1)):
         c = (upsilon.coeffs[x] - upsilon.coeffs[y])[free]
         if not np.any(c):
             continue
-        lp = LinearProgram(c=c, A=A, senses=("<=",) * b.size, b=b, lb=-bound, ub=bound,
-                           maximize=True)
-        res = solve_lp(lp, tol=tol, config=config)
-        if res.status != "optimal":
-            raise SolverError(f"pair LP unexpectedly {res.status}")
-        best = max(best, res.objective / float(dist[x, y]))
+        key = c.tobytes()
+        if key not in objectives:
+            lp = LinearProgram(c=c, A=A, senses=("<=",) * b.size, b=b, lb=-bound, ub=bound,
+                               maximize=True)
+            res = solve_lp(lp, tol=tol, config=config)
+            if res.status != "optimal":
+                raise SolverError(f"pair LP unexpectedly {res.status}")
+            objectives[key] = res.objective
+        best = max(best, objectives[key] / float(dist[x, y]))
     return best

@@ -1,8 +1,9 @@
 """Finitely supported signed measures over a fixed metric space.
 
-Coefficients are stored sparsely by point index.  Exact zeros are
-pruned on construction, so two measures built along different arithmetic
-routes compare equal whenever their coefficient dicts match bit for bit.
+Coefficients are stored sparsely by point index, in a read-only
+mapping.  Exact zeros are pruned on construction, so two measures built
+along different arithmetic routes compare equal whenever their
+coefficients match bit for bit.
 Arithmetic between measures on different spaces is rejected rather than
 silently re-indexed.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -22,7 +24,7 @@ from .metric import FiniteMetricSpace
 @dataclass(frozen=True, eq=False)
 class SignedMeasure:
     space: FiniteMetricSpace
-    coeff: dict[int, float] = field(default_factory=dict)
+    coeff: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         clean: dict[int, float] = {}
@@ -37,7 +39,7 @@ class SignedMeasure:
                 clean[i] = clean.get(i, 0.0) + x
                 if clean[i] == 0.0:
                     del clean[i]
-        object.__setattr__(self, "coeff", dict(sorted(clean.items())))
+        object.__setattr__(self, "coeff", MappingProxyType(dict(sorted(clean.items()))))
 
     # -- constructors -------------------------------------------------
 

@@ -12,7 +12,9 @@ Each phase runs one multi-source Dijkstra on reduced costs from every
 node with excess until every deficit node is settled, raises the node
 potentials so that every shortest-path tree arc has reduced cost zero,
 and then augments along the tree to each settled deficit in settle
-order.  All arithmetic is on integers, so the optimum of the quantized
+order.  Arcs are uncapacitated, so the residual graph holds each arc
+forward, always open, and backward only while the arc carries flow.
+All arithmetic is on integers, so the optimum of the quantized
 instance is exact and the duality gap identically zero.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,41 +45,32 @@ def _grid_exponent(largest: float) -> int:
     return GRID_BITS - math.frexp(largest)[1]
 
 
-def _quantize(x: float, shift: int) -> int:
-    # ldexp only moves the exponent, so the round is the sole rounding step
-    return int(round(math.ldexp(float(x), shift)))
-
-
 def _quantize_balanced(values: np.ndarray, shift: int) -> list[int]:
     """Quantize a near-balanced vector so the integer sum is exactly zero."""
-    out: list[int] = []
-    cum = 0.0
-    prev = 0
-    for v in values:
-        cum += float(v)
-        cur = _quantize(cum, shift)
-        out.append(cur - prev)
-        prev = cur
-    if out:
-        out[-1] -= prev
-    return out
+    # ldexp is exact, so rint is the sole rounding; the running sums can pass
+    # 2**63, so they become Python ints, and the last is set to the exact zero
+    cum = [0] + [int(c) for c in np.rint(np.ldexp(np.cumsum(values), shift)).tolist()]
+    cum[-1] = 0
+    return [cur - prev for prev, cur in zip(cum, cum[1:])]
 
 
 @dataclass(frozen=True)
 class FlowProblem:
     """Uncapacitated min-cost flow instance on node indices 0..n_nodes-1.
 
-    arcs: (u, v, cost) triples with nonnegative costs.
     supplies: positive for sources, negative for sinks, summing to zero.
+    arcs: (m, 2) integer (tail, head) pairs; costs: (m,) nonnegative costs.
     """
 
     n_nodes: int
     supplies: np.ndarray
-    arcs: tuple[tuple[int, int, float], ...]
+    arcs: np.ndarray
+    costs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "supplies", np.asarray(self.supplies, dtype=float))
-        object.__setattr__(self, "arcs", tuple((int(u), int(v), float(c)) for u, v, c in self.arcs))
+        object.__setattr__(self, "arcs", np.asarray(self.arcs, dtype=np.int64))
+        object.__setattr__(self, "costs", np.asarray(self.costs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -107,40 +101,47 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     mass = float(np.sum(np.abs(problem.supplies)))
     if abs(total) > tol * mass:
         raise ContractError(f"unbalanced supplies: net {total:.3e}")
-    for u, v, c in problem.arcs:
-        if not (0 <= u < n and 0 <= v < n):
+    arcs, costs = problem.arcs, problem.costs
+    if arcs.ndim != 2 or arcs.shape[1] != 2 or costs.shape != arcs.shape[:1]:
+        raise ContractError(f"arcs must have shape (m, 2) and costs shape (m,), "
+                            f"got {arcs.shape} and {costs.shape}")
+    outside = np.any((arcs < 0) | (arcs >= n), axis=1)
+    loop = arcs[:, 0] == arcs[:, 1]
+    bad = np.flatnonzero(outside | loop | ~(np.isfinite(costs) & (costs >= 0.0)))
+    if bad.size:
+        u, v = arcs[bad[0]].tolist()
+        if outside[bad[0]]:
             raise ContractError(f"arc ({u},{v}) out of range")
-        if u == v:
+        if loop[bad[0]]:
             raise ContractError(f"self-loop arc at node {u}")
-        if not (math.isfinite(c) and c >= 0.0):
-            raise ContractError(f"arc ({u},{v}) needs a finite nonnegative cost")
+        raise ContractError(f"arc ({u},{v}) needs a finite nonnegative cost")
 
     supply_shift = _grid_exponent(float(np.max(np.abs(problem.supplies), initial=0.0)))
-    cost_shift = _grid_exponent(max((c for _, _, c in problem.arcs), default=0.0))
+    cost_shift = _grid_exponent(float(np.max(costs, initial=0.0)))
     b = _quantize_balanced(problem.supplies, supply_shift)
-    total_excess = sum(x for x in b if x > 0)
-    inf_cap = total_excess + 1
+    # rint rounds half to even, as round does; int64 holds values below 2**GRID_BITS
+    cost = np.rint(np.ldexp(costs, cost_shift)).astype(np.int64).tolist()
+    tails, heads = arcs.T.tolist()
 
-    # residual graph: paired forward/backward edges, edge e ^ 1 reverses e
-    head: list[int] = []
-    cap: list[int] = []
-    cost: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, c in problem.arcs:
-        cq = _quantize(c, cost_shift)
-        adj[u].append(len(head)); head.append(v); cap.append(inf_cap); cost.append(cq)
-        adj[v].append(len(head)); head.append(u); cap.append(0); cost.append(-cq)
+    # residual arcs (node, cost, k or ~k) out of each node: uncapacitated arc
+    # k is always open forward, and backward (~k) only while it carries flow
+    forward: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for k, (u, v, c) in enumerate(zip(tails, heads, cost)):
+        forward[u].append((v, c, k))
+    backward: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
+    flow = [0] * len(cost)
 
     excess = list(b)
-    pi = [0] * n                  # reduced cost of edge u->w: cost + pi[u] - pi[w] >= 0
+    total_excess = sum(x for x in b if x > 0)
+    pi = [0] * n                  # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0
     phases = augmentations = 0
-    max_aug = 4 * (n + len(problem.arcs)) + 16
+    max_aug = 4 * (n + len(cost)) + 16
     heappush, heappop = heapq.heappush, heapq.heappop
 
     while total_excess > 0:
         phases += 1
         dist: list[float] = [math.inf] * n
-        parent_edge = [-1] * n
+        via: list[int | None] = [None] * n   # tree arc into each node
         pq = [(0, s) for s in range(n) if excess[s] > 0]   # sorted, so a heap
         for _, s in pq:
             dist[s] = 0
@@ -159,36 +160,38 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                 if len(reached) == deficits:
                     break
             base = dv + pi[v]
-            for e in adj[v]:
-                if cap[e] > 0:
-                    w = head[e]
-                    nd = base + cost[e] - pi[w]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        parent_edge[w] = e
-                        heappush(pq, (nd, w))
+            for w, c, e in chain(forward[v], backward[v].values()):
+                nd = base + c - pi[w]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    via[w] = e
+                    heappush(pq, (nd, w))
         if not reached:
             raise ContractError("flow problem is infeasible: a deficit node is unreachable")
         # settled nodes move by their distance, the rest by the last one,
         # which zeroes the reduced cost of every tree arc
-        for v in range(n):
-            pi[v] += min(dist[v], last)
+        pi = [p + (dv if dv < last else last) for p, dv in zip(pi, dist)]
 
         for t in reached:
             amount = -excess[t]
             path: list[int] = []
             v = t
-            while parent_edge[v] >= 0:
-                e = parent_edge[v]
+            while (e := via[v]) is not None:
                 path.append(e)
-                amount = min(amount, cap[e])
-                v = head[e ^ 1]
+                if e < 0:
+                    amount = min(amount, flow[~e])
+                v = tails[e] if e >= 0 else heads[~e]
             amount = min(amount, excess[v])
             if amount <= 0:
                 continue
+            # arc k enters backward[head] as its flow leaves 0, and exits as it returns
             for e in path:
-                cap[e] -= amount
-                cap[e ^ 1] += amount
+                k = e if e >= 0 else ~e
+                if not flow[k]:
+                    backward[heads[k]][k] = (tails[k], -cost[k], ~k)
+                flow[k] += amount if e >= 0 else -amount
+                if not flow[k]:
+                    del backward[heads[k]][k]
             excess[v] -= amount
             excess[t] += amount
             total_excess -= amount
@@ -196,24 +199,23 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             if augmentations > max_aug:
                 raise SolverError("flow augmentation did not converge")
 
-    flow_int = tuple(cap[2 * k + 1] for k in range(len(problem.arcs)))
-    cost_int = sum(f * cost[2 * k] for k, f in enumerate(flow_int))
-
     # exact certificates on the quantized instance; failure means a bug
-    for k, (u, v, _) in enumerate(problem.arcs):
-        reduced = cost[2 * k] + pi[u] - pi[v]
+    cost_int = 0
+    for u, v, c, f in zip(tails, heads, cost, flow):
+        reduced = c + pi[u] - pi[v]
         if reduced < 0:
             raise SolverError("optimality certificate failed on a residual arc")
-        if flow_int[k] > 0 and reduced > 0:
+        if f > 0 and reduced > 0:
             raise SolverError("complementary slackness failed on a flow arc")
+        cost_int += f * c
     if sum(bi * -p for bi, p in zip(b, pi)) != cost_int:
         raise SolverError("flow duality gap is nonzero on the quantized instance")
 
     return FlowResult(
-        flow=np.array([math.ldexp(f, -supply_shift) for f in flow_int]),
+        flow=np.ldexp(np.array(flow, dtype=float), -supply_shift),
         potentials=np.array([math.ldexp(-p, -cost_shift) for p in pi]),
         cost=math.ldexp(cost_int, -supply_shift - cost_shift),
-        flow_int=flow_int,
+        flow_int=tuple(flow),
         phases=phases,
         augmentations=augmentations,
     )
@@ -441,6 +443,7 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9,
     scale_b = float(np.max(np.abs(b2))) if m2 else 1.0
     feas_tol = cfg.tol * max(1.0, scale_b)
 
+    row_keep = list(range(m2))
     if artificial_cols:
         c_phase1 = np.zeros(ntot)
         for j in artificial_cols:
@@ -469,18 +472,11 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9,
                 else:
                     drop_rows.append(r)
         if drop_rows:
-            keep = [r for r in range(m2) if r not in set(drop_rows)]
-            A3 = A3[keep, :]
-            b2 = b2[keep]
-            row_keep = keep
-            sx.A = A3
-            sx.b = b2
-            sx.m = len(keep)
-            sx.basis = [sx.basis[r] for r in keep]
-        else:
-            row_keep = list(range(m2))
-    else:
-        row_keep = list(range(m2))
+            row_keep = [r for r in range(m2) if r not in set(drop_rows)]
+            sx.A = A3[row_keep, :]
+            sx.b = b2[row_keep]
+            sx.m = len(row_keep)
+            sx.basis = [sx.basis[r] for r in row_keep]
 
     c_phase2 = np.concatenate([c3, np.zeros(ntot - nreal)])
     allowed2 = np.zeros(ntot, dtype=bool)

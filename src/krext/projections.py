@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import SolverConfig
 from .errors import ContractError, SolverError
 from .measures import SignedMeasure
 from .metric import FiniteMetricSpace, Subspace
@@ -72,6 +72,7 @@ class GentlePartition:
     push forward to the point mass at that member — both encode the
     same induced projection row delta_x, and the second form is what
     projection_to_gentle produces so that the round trip is exact.
+    weights and psi are stored as read-only copies.
     """
 
     subset: Subspace
@@ -83,8 +84,9 @@ class GentlePartition:
         sub = self.subset
         space = sub.parent
         n = space.n
-        weights = np.asarray(self.weights, dtype=float)
-        psi = np.asarray(self.psi, dtype=float)
+        # copies, so marking them read-only leaves the caller's arrays alone
+        weights = np.array(self.weights, dtype=float)
+        psi = np.array(self.psi, dtype=float)
         gamma = tuple(int(g) for g in self.gamma)
         if weights.ndim != 1 or weights.size == 0:
             raise ContractError("weights must be a nonempty vector")
@@ -128,6 +130,8 @@ class GentlePartition:
             raise ContractError(
                 f"exterior column {x} must average to 1 under P, got {float(avg[x])!r}"
             )
+        weights.setflags(write=False)
+        psi.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "gamma", gamma)
@@ -250,19 +254,24 @@ def projection_constant(p: RandomProjection, tol: float = 1e-9) -> float:
     """Least K with dual-Lip distance between rows at most K*d(x, y).
 
     Evaluated as the max over unordered pairs of kr_norm of the row
-    difference, divided by the point distance.
+    difference, divided by the point distance.  Pairs whose rows differ
+    by the same coefficient vector share one solve.
     """
     space = p.space
-    n = space.n
+    members = p.subset.members
+    norms: dict[bytes, float] = {}
     best = 0.0
-    for x in range(n):
-        for y in range(x + 1, n):
-            diff = p.rows[x] - p.rows[y]
-            if not diff.support:
-                continue
-            value = kr_norm(diff, tol=tol).value / float(space.dist[x, y])
-            if value > best:
-                best = value
+    for x, y in zip(*np.triu_indices(space.n, 1)):
+        c = p.coeffs[x] - p.coeffs[y]
+        if not np.any(c):
+            continue
+        key = c.tobytes()
+        if key not in norms:
+            diff = SignedMeasure(space, dict(zip(members, c.tolist())))
+            norms[key] = kr_norm(diff, tol=tol).value
+        value = norms[key] / float(space.dist[x, y])
+        if value > best:
+            best = value
     return best
 
 

@@ -69,16 +69,20 @@ def _transport(space: FiniteMetricSpace, supplies: np.ndarray,
     # rounding of its running sums, so no point changes sides
     order = np.argsort(np.abs(supplies), kind="stable")
     nodes = order[supplies[order] != 0.0]
-    sources = [k for k, v in enumerate(nodes) if supplies[v] > 0.0]
-    sinks = [k for k, v in enumerate(nodes) if supplies[v] < 0.0]
+    node_supplies = supplies[nodes]
+    sources, sinks = np.flatnonzero(node_supplies > 0.0), np.flatnonzero(node_supplies < 0.0)
+    tails = np.repeat(sources, sinks.size)
+    heads = np.tile(sinks, sources.size)
     d = space.dist
-    arcs = tuple((u, v, float(d[nodes[u], nodes[v]])) for u in sources for v in sinks)
-    res = solve_flow(FlowProblem(len(nodes), supplies[nodes], arcs), tol=tol)
+    costs = d[nodes[tails], nodes[heads]]
+    res = solve_flow(FlowProblem(len(nodes), node_supplies, np.column_stack([tails, heads]), costs),
+                     tol=tol)
 
-    plan = {(int(nodes[u]), int(nodes[v])): float(f)
-            for (u, v, _), f in zip(arcs, res.flow) if f > 0.0}
+    used = np.flatnonzero(res.flow > 0.0)
+    plan = dict(zip(zip(nodes[tails[used]].tolist(), nodes[heads[used]].tolist()),
+                    res.flow[used].tolist()))
     g = np.zeros(space.n)
-    if sinks:
+    if sinks.size:
         g = np.min(res.potentials[sinks] + d[:, nodes[sinks]], axis=1)
         g -= g[space.basepoint]
     return res.cost, plan, g

@@ -32,8 +32,11 @@ from krext import (
     subspace_from_labels,
     uniform_discrete_projection,
 )
+from krext import extension
 from krext.extension import _worst_pair
+from krext.optim import LinearProgram, solve_lp
 from test_metric import three_point
+from test_projections import separated_example
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +347,44 @@ def test_extension_operator_respects_the_norm_bound(seed):
     f = rand_subset_function(rng, subset, dim=dim, norm=norm, zero_at_base=True)
     out = extend_by_projection(p, f)
     assert lip_norm(out) <= projection_constant(p) * lip_norm(f) + 1e-9
+
+
+def operator_norm_loops(upsilon, tol=1e-9):
+    """Reference operator_norm: one LP per pair of rows that differ off the basepoint."""
+    msp = upsilon.subset.to_space()
+    free = [k for k in range(msp.n) if k != msp.basepoint]
+    pairs = [(i, j) for i in free for j in free if i != j]
+    A = np.zeros((len(pairs), len(free)))
+    for r, (i, j) in enumerate(pairs):
+        A[r, free.index(i)] = 1.0
+        A[r, free.index(j)] = -1.0
+    b = np.array([msp.dist[i, j] for i, j in pairs])
+    bound = msp.dist[free, msp.basepoint]
+    best = 0.0
+    for x in range(upsilon.space.n):
+        for y in range(x + 1, upsilon.space.n):
+            c = (upsilon.coeffs[x] - upsilon.coeffs[y])[free]
+            if np.any(c):
+                res = solve_lp(LinearProgram(c=c, A=A, senses=("<=",) * b.size, b=b,
+                                             lb=-bound, ub=bound, maximize=True), tol=tol)
+                best = max(best, res.objective / float(upsilon.space.dist[x, y]))
+    return best
+
+
+def test_operator_norm_solves_each_row_difference_once(monkeypatch):
+    p = separated_example()
+    free = [k for k, m in enumerate(p.subset.members) if m != p.space.basepoint]
+    i, j = np.triu_indices(p.space.n, 1)
+    diffs = (p.coeffs[i] - p.coeffs[j])[:, free]
+    distinct = {row.tobytes() for row in diffs[np.any(diffs, axis=1)]}
+    calls = []
+
+    def spy(lp, tol=1e-9, config=None):
+        calls.append(lp)
+        return solve_lp(lp, tol=tol, config=config)
+
+    monkeypatch.setattr(extension, "solve_lp", spy)
+    value = operator_norm(p)
+    assert len(calls) == len(distinct) < np.count_nonzero(np.any(diffs, axis=1))
+    monkeypatch.undo()
+    assert value == operator_norm_loops(p)

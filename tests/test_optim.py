@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import krext.transport as transport
 from conftest import rand_space
-from krext import ContractError, SignedMeasure, kr_norm
-from krext.optim import FlowProblem, LinearProgram, solve_flow, solve_lp
+from krext import ContractError, SignedMeasure, SolverError, kr_norm
+from krext.optim import FlowProblem, FlowResult, LinearProgram, _grid_exponent, solve_flow, solve_lp
 from test_metric import three_point
 
 
@@ -22,14 +22,119 @@ from test_metric import three_point
 # min-cost flow
 
 
+def flow_problem(n, supplies, triples):
+    """A FlowProblem from (tail, head, cost) triples."""
+    triples = tuple(triples)
+    arcs = np.array([(u, v) for u, v, _ in triples], dtype=np.int64).reshape(-1, 2)
+    return FlowProblem(n, supplies, arcs, np.array([c for _, _, c in triples], dtype=float))
+
+
+def solve_flow_loops(problem, tol=1e-9):
+    """Reference solve_flow on paired residual edges, edge e ^ 1 reversing e.
+
+    The same primal-dual phases and grid as solve_flow, with every arc
+    stored as a capacitated forward edge and a backward edge that is
+    scanned even while it carries nothing.
+    """
+    n = problem.n_nodes
+    triples = [(int(u), int(v), float(c)) for (u, v), c in zip(problem.arcs, problem.costs)]
+    supply_shift = _grid_exponent(float(np.max(np.abs(problem.supplies), initial=0.0)))
+    cost_shift = _grid_exponent(max((c for _, _, c in triples), default=0.0))
+    b, cum, prev = [], 0.0, 0
+    for s in problem.supplies:   # running sums on the grid, so sum(b) == 0
+        cum += float(s)
+        cur = int(round(math.ldexp(cum, supply_shift)))
+        b.append(cur - prev)
+        prev = cur
+    if b:
+        b[-1] -= prev
+    total_excess = sum(x for x in b if x > 0)
+    inf_cap = total_excess + 1
+    head, cap, cost = [], [], []
+    adj = [[] for _ in range(n)]
+    for u, v, c in triples:
+        cq = int(round(math.ldexp(c, cost_shift)))
+        adj[u].append(len(head)); head.append(v); cap.append(inf_cap); cost.append(cq)
+        adj[v].append(len(head)); head.append(u); cap.append(0); cost.append(-cq)
+    excess = list(b)
+    pi = [0] * n
+    phases = augmentations = 0
+    while total_excess > 0:
+        phases += 1
+        dist = [math.inf] * n
+        parent_edge = [-1] * n
+        pq = [(0, s) for s in range(n) if excess[s] > 0]
+        for _, s in pq:
+            dist[s] = 0
+        deficits = sum(1 for x in excess if x < 0)
+        reached = []
+        last = 0
+        while pq:
+            dv, v = heapq.heappop(pq)
+            if dv != dist[v]:
+                continue
+            last = dv
+            if excess[v] < 0:
+                reached.append(v)
+                if len(reached) == deficits:
+                    break
+            for e in adj[v]:
+                if cap[e] > 0:
+                    w = head[e]
+                    nd = dv + pi[v] + cost[e] - pi[w]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        parent_edge[w] = e
+                        heapq.heappush(pq, (nd, w))
+        if not reached:
+            raise ContractError("flow problem is infeasible: a deficit node is unreachable")
+        for v in range(n):
+            pi[v] += min(dist[v], last)
+        for t in reached:
+            amount = -excess[t]
+            path = []
+            v = t
+            while parent_edge[v] >= 0:
+                e = parent_edge[v]
+                path.append(e)
+                amount = min(amount, cap[e])
+                v = head[e ^ 1]
+            amount = min(amount, excess[v])
+            if amount <= 0:
+                continue
+            for e in path:
+                cap[e] -= amount
+                cap[e ^ 1] += amount
+            excess[v] -= amount
+            excess[t] += amount
+            total_excess -= amount
+            augmentations += 1
+    flow_int = tuple(cap[2 * k + 1] for k in range(len(triples)))
+    cost_int = sum(f * cost[2 * k] for k, f in enumerate(flow_int))
+    for k, (u, v, _) in enumerate(triples):
+        reduced = cost[2 * k] + pi[u] - pi[v]
+        if reduced < 0 or (flow_int[k] > 0 and reduced > 0):
+            raise SolverError("reference certificate failed")
+    if sum(bi * -p for bi, p in zip(b, pi)) != cost_int:
+        raise SolverError("reference duality gap is nonzero")
+    return FlowResult(
+        flow=np.array([math.ldexp(f, -supply_shift) for f in flow_int]),
+        potentials=np.array([math.ldexp(-p, -cost_shift) for p in pi]),
+        cost=math.ldexp(cost_int, -supply_shift - cost_shift),
+        flow_int=flow_int,
+        phases=phases,
+        augmentations=augmentations,
+    )
+
+
 def test_flow_single_node():
-    res = solve_flow(FlowProblem(1, np.array([0.0]), ()))
+    res = solve_flow(flow_problem(1, np.array([0.0]), ()))
     assert res.cost == 0.0
     assert res.flow.size == 0
 
 
 def test_flow_two_nodes_forced_arc():
-    res = solve_flow(FlowProblem(2, np.array([1.0, -1.0]), ((0, 1, 1.5),)))
+    res = solve_flow(flow_problem(2, np.array([1.0, -1.0]), ((0, 1, 1.5),)))
     assert res.cost == pytest.approx(1.5, abs=0.0)
     assert res.flow[0] == pytest.approx(1.0, abs=0.0)
     # dual: potentials certify the cost through the supplies
@@ -38,12 +143,12 @@ def test_flow_two_nodes_forced_arc():
 
 def test_flow_rejects_unbalanced_supplies():
     with pytest.raises(ContractError):
-        solve_flow(FlowProblem(2, np.array([1.0, -0.5]), ((0, 1, 1.0),)))
+        solve_flow(flow_problem(2, np.array([1.0, -0.5]), ((0, 1, 1.0),)))
 
 
 def test_flow_rejects_disconnected_demand():
     with pytest.raises(ContractError, match="unreachable"):
-        solve_flow(FlowProblem(3, np.array([1.0, -1.0, 0.0]), ((0, 2, 1.0),)))
+        solve_flow(flow_problem(3, np.array([1.0, -1.0, 0.0]), ((0, 2, 1.0),)))
 
 
 def _tree_flow_cost(n, arcs, supplies):
@@ -123,7 +228,7 @@ def test_flow_matches_spanning_tree_enumeration(seed):
                 c = float(rng.integers(1, 10))
                 costs[(u, v)] = c
                 arcs.append((u, v, c))
-    res = solve_flow(FlowProblem(n, supplies, tuple(arcs)))
+    res = solve_flow(flow_problem(n, supplies, tuple(arcs)))
     oracle = _tree_flow_cost(n, costs, supplies)
     assert res.cost == pytest.approx(oracle, abs=1e-9)
 
@@ -140,7 +245,7 @@ def test_flow_on_grid_distances_matches_spanning_tree_enumeration(seed):
     supplies[-1] -= supplies.sum()
     costs = {(u, v): float(np.abs(xy[u] - xy[v]).sum())
              for u in range(n) for v in range(n) if u != v}
-    res = solve_flow(FlowProblem(n, supplies, tuple((u, v, c) for (u, v), c in costs.items())))
+    res = solve_flow(flow_problem(n, supplies, tuple((u, v, c) for (u, v), c in costs.items())))
     assert res.cost == _tree_flow_cost(n, costs, supplies)
     assert res.phases <= res.augmentations
 
@@ -156,7 +261,7 @@ def test_flow_phases_never_exceed_augmentations(seed):
         (u, v, float(rng.integers(0, 4) if seed % 2 else rng.uniform(0.0, 3.0)))
         for u in range(n) for v in range(n) if u != v
     )
-    res = solve_flow(FlowProblem(n, supplies, arcs))
+    res = solve_flow(flow_problem(n, supplies, arcs))
     assert 1 <= res.phases <= res.augmentations
 
 
@@ -182,7 +287,7 @@ def test_flow_grid_is_relative_to_the_problem_scale():
     # costs and supplies far below unit scale keep their full precision
     supplies = np.array([3e-30, -1e-30, -2e-30])
     arcs = ((0, 1, 5e-26), (0, 2, 7e-26))
-    res = solve_flow(FlowProblem(3, supplies, arcs))
+    res = solve_flow(flow_problem(3, supplies, arcs))
     assert res.cost == pytest.approx(1.9e-55, rel=1e-15, abs=0.0)
     assert list(res.flow) == pytest.approx([1e-30, 2e-30], rel=1e-15, abs=0.0)
 
@@ -198,7 +303,7 @@ def test_flow_duals_certify_cost():
             (u, v, float(rng.uniform(0.1, 3.0)))
             for u in range(n) for v in range(n) if u != v
         )
-        res = solve_flow(FlowProblem(n, supplies, arcs))
+        res = solve_flow(flow_problem(n, supplies, arcs))
         dual = math.fsum(res.potentials[i] * supplies[i] for i in range(n))
         assert dual == pytest.approx(res.cost, abs=1e-9)
         for k, (u, v, c) in enumerate(arcs):
@@ -211,9 +316,109 @@ def test_flow_homogeneity_is_exact():
     # power-of-two scaling of supplies scales flows and cost exactly
     supplies = np.array([0.3, -0.7, 0.4])
     arcs = ((0, 1, 1.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 2.0), (1, 2, 1.5), (2, 1, 1.5))
-    base = solve_flow(FlowProblem(3, supplies, arcs))
-    scaled = solve_flow(FlowProblem(3, supplies * 4.0, arcs))
+    base = solve_flow(flow_problem(3, supplies, arcs))
+    scaled = solve_flow(flow_problem(3, supplies * 4.0, arcs))
     assert scaled.cost == base.cost * 4.0
+
+
+def assert_same_flow(problem, exact_path):
+    """solve_flow against the paired-edge reference on one instance.
+
+    The cost is the exact optimum of the quantized instance, so it must
+    match bit for bit.  With float costs, ties in the Dijkstra labels are
+    rare, so the whole run must match too; with integer costs, tied
+    labels may pick another shortest-path tree, hence another optimum.
+    """
+    new, ref = solve_flow(problem), solve_flow_loops(problem)
+    assert new.cost == ref.cost
+    if exact_path:
+        assert new.flow_int == ref.flow_int
+        assert all(type(f) is int for f in new.flow_int)
+        assert np.array_equal(new.flow, ref.flow)
+        assert np.array_equal(new.potentials, ref.potentials)
+        assert (new.phases, new.augmentations) == (ref.phases, ref.augmentations)
+
+
+@pytest.mark.parametrize("kind", ["kr", "w1"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_flow_matches_the_paired_edge_reference_on_transport(kind, sparse):
+    seen = []
+
+    def spy(problem, tol=1e-9):
+        seen.append(problem)
+        return solve_flow(problem, tol=tol)
+
+    rng = np.random.default_rng(61 + sparse)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "solve_flow", spy)
+        for n in (8, 20, 36):
+            space = rand_space(rng, n)
+            support = rng.choice(n, size=max(2, n // 8) if sparse else n, replace=False)
+            if kind == "kr":
+                kr_norm(SignedMeasure(space, {int(i): float(rng.uniform(-2, 2)) for i in support}))
+            else:
+                w = rng.uniform(0.05, 1.0, size=(2, support.size))
+                w /= w.sum(axis=1, keepdims=True)
+                mu, eta = (SignedMeasure(space, dict(zip(support.tolist(), r.tolist()))) for r in w)
+                transport.w1(mu, eta)
+    assert len(seen) == 3
+    for problem in seen:
+        assert_same_flow(problem, exact_path=True)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "spread", "integer"])
+def test_flow_matches_the_paired_edge_reference_on_complete_digraphs(kind):
+    # spread costs span 2**-40..3, so most leave fractional bits on the grid
+    rng = np.random.default_rng(62)
+    for _ in range(25):
+        n = int(rng.integers(2, 14))
+        supplies = rng.uniform(-2, 2, size=n)
+        supplies[-1] -= supplies.sum()
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        costs = rng.uniform(0.0, 3.0, len(arcs))
+        if kind == "spread":
+            costs *= 2.0 ** rng.integers(-40, 1, len(arcs))
+        elif kind == "integer":
+            costs = np.round(costs)
+        problem = FlowProblem(n, supplies, np.array(arcs), costs)
+        assert_same_flow(problem, exact_path=kind != "integer")
+
+
+def test_flow_matches_the_paired_edge_reference_on_the_grid_metric():
+    rng = np.random.default_rng(63)
+    xy = np.stack(np.divmod(np.arange(36), 6), axis=1)
+    dist = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2).astype(float)
+    for _ in range(20):
+        n = int(rng.integers(2, 13))
+        cells = rng.choice(36, size=n, replace=False)
+        supplies = rng.integers(-3, 4, size=n).astype(float)
+        supplies[-1] -= supplies.sum()
+        u, v = np.nonzero(~np.eye(n, dtype=bool))
+        problem = FlowProblem(n, supplies, np.column_stack([u, v]), dist[cells[u], cells[v]])
+        assert_same_flow(problem, exact_path=False)
+
+
+@pytest.mark.parametrize("arcs, costs", [
+    (np.array([0, 1]), np.array([1.0])),
+    (np.array([[0, 1, 2]]), np.array([1.0])),
+    (np.array([[0, 1]]), np.array([1.0, 2.0])),
+    (np.array([[0, 1]]), np.array([[1.0]])),
+])
+def test_flow_rejects_mismatched_arc_and_cost_shapes(arcs, costs):
+    with pytest.raises(ContractError, match=r"arcs must have shape \(m, 2\) and costs shape \(m,\)"):
+        solve_flow(FlowProblem(2, np.array([1.0, -1.0]), arcs, costs))
+
+
+@pytest.mark.parametrize("triples, message", [
+    (((0, 1, 1.0), (2, 2, 1.0), (0, 3, 1.0)), "self-loop arc at node 2"),
+    (((0, 1, 1.0), (0, 3, 1.0), (2, 2, 1.0)), r"arc \(0,3\) out of range"),
+    (((0, 1, -1.0), (0, 3, 1.0)), r"arc \(0,1\) needs a finite nonnegative cost"),
+    (((0, 1, 1.0), (1, 0, math.nan), (0, -1, 1.0)), r"arc \(1,0\) needs a finite"),
+    (((1, 0, math.inf),), r"arc \(1,0\) needs a finite"),
+])
+def test_flow_names_the_first_offending_arc(triples, message):
+    with pytest.raises(ContractError, match=message):
+        solve_flow(flow_problem(3, np.array([1.0, -1.0, 0.0]), triples))
 
 
 # ---------------------------------------------------------------------------

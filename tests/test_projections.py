@@ -817,3 +817,79 @@ def test_retract_is_idempotent_and_fixes_the_ball(seed):
     inside = y / max(1.0, math.fsum(float(v) for v in y) + 0.5)
     g3, r3 = retract_l1_ball(inside)
     assert g3 == 0.0 and np.array_equal(r3, inside)
+
+
+# ---------------------------------------------------------------------------
+# immutability and shared pair solves
+
+
+def test_projection_rows_are_read_only():
+    # a writable row let coeffs go stale: projection_constant read the
+    # mutated row while weighted_tv_constant read the matrix built before
+    rng = np.random.default_rng(17)
+    space = rand_space(rng, 7)
+    p = rand_strong_projection(rng, rand_subspace(rng, space, 3))
+    x = next(x for x in range(space.n) if x not in p.subset.members)
+    m = p.subset.members[0]
+    with pytest.raises(TypeError):
+        p.rows[x].coeff[m] = 7.0
+    assert np.array_equal(p.coeffs[x], p.rows[x].as_vector()[list(p.subset.members)])
+    assert projection_constant(p) <= weighted_tv_constant(p) * (1.0 + 1e-12)
+
+
+def test_gentle_partition_arrays_are_read_only_copies():
+    rng = np.random.default_rng(18)
+    space = rand_space(rng, 6)
+    g = rand_gentle(rng, rand_subspace(rng, space, 3))
+    weights, psi = g.weights.copy(), g.psi.copy()
+    with pytest.raises(ValueError):
+        g.psi[0, :] = -1.0
+    with pytest.raises(ValueError):
+        g.weights[0] = 2.0
+    again = GentlePartition(g.subset, weights, psi, g.gamma)
+    psi[0, :] = -1.0     # the caller's arrays stay writable and detached
+    assert np.all(again.psi >= 0.0)
+    assert gentle_constant(again) == gentle_constant(g)
+
+
+def separated_example():
+    """The two-atom projection of a 30-point cloud onto an 8-member 3-separated subset.
+
+    Points near no member all map to the reference member, so many pairs
+    of rows differ by the same vector: 330 pairs differ, in 135 ways.
+    """
+    rng = np.random.default_rng(23)
+    space = rand_space(rng, 30)
+    members = [space.basepoint]
+    for x in range(space.n):
+        if len(members) < 8 and all(space.d(x, m) >= 3.0 for m in members):
+            members.append(x)
+    sub = Subspace(space, tuple(sorted(members)))
+    return uniform_discrete_projection(space, sub, eps=3.0, t0=space.basepoint)
+
+
+def projection_constant_loops(p, tol=1e-9):
+    """Reference projection_constant: one kr_norm per pair of distinct rows."""
+    best = 0.0
+    for x in range(p.space.n):
+        for y in range(x + 1, p.space.n):
+            diff = p.rows[x] - p.rows[y]
+            if diff.support:
+                best = max(best, kr_norm(diff, tol=tol).value / float(p.space.dist[x, y]))
+    return best
+
+
+def test_projection_constant_solves_each_row_difference_once(monkeypatch):
+    p = separated_example()
+    assert p.subset.size == 8
+    calls = []
+
+    def spy(mu, tol=1e-9):
+        calls.append(mu)
+        return kr_norm(mu, tol=tol)
+
+    monkeypatch.setattr(projections, "kr_norm", spy)
+    value = projection_constant(p)
+    assert len(calls) == 135
+    monkeypatch.undo()
+    assert value == projection_constant_loops(p)
