@@ -12,7 +12,6 @@ solver layer underneath; ``io`` and ``cli`` expose it all as JSON files
 and subcommands.
 """
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, JsonParseError, MalformedInputError, SolverError
 from .extension import (
     PointFunction,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "SolverConfig", "DEFAULT_CONFIG",
     "ContractError", "MalformedInputError", "SolverError", "JsonParseError",
     "FiniteMetricSpace", "Subspace", "Violation",
     "validate_metric", "require_valid_metric", "restrict",

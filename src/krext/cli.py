@@ -7,7 +7,8 @@ through the same serializer.  Exit codes: 0 success, 1 contract error,
 2 solver failure, 64 usage error, 65 malformed JSON (with line/column).
 
 The default tolerance is 1e-9; the environment variable KREXT_TOL
-overrides it, and an explicit --tol flag overrides both.
+overrides it, and an explicit --tol flag overrides both.  Every
+tolerance is relative, so it must be finite and in (0, 1).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _stringio
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,28 +42,12 @@ from .projections import (
 )
 from .transport import TransportResult, kr_norm, w1
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _REPORT_COLUMNS = (
     "n_points", "subset_size", "K_strong", "K_signed",
     "tv_const", "udp_bound", "doubling_est", "runtime_ms",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by every subcommand."""
-
-    tol: float = 1e-9
-    seed: int = 0
-    format: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise ContractError(f"tolerance must be positive, got {self.tol}")
-        if self.format not in ("json", "csv"):
-            raise ContractError(f"unrecognized output format {self.format!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,9 +202,9 @@ def _transport_payload(res: TransportResult) -> dict:
     }
 
 
-def _cmd_validate(args, cfg):
+def _cmd_validate(args, tol):
     space = kio.load_space(args.space)
-    report = validate_metric(space, tol=cfg.tol)
+    report = validate_metric(space, tol=tol)
     payload = {
         "valid": not report,
         "violations": [
@@ -234,33 +219,33 @@ def _cmd_validate(args, cfg):
     return payload, (0 if not report else 1)
 
 
-def _cmd_doubling(args, cfg):
+def _cmd_doubling(args, tol):
     space = kio.load_space(args.space)
     return {"doubling_estimate": int(doubling_estimate(space))}, 0
 
 
-def _cmd_w1(args, cfg):
+def _cmd_w1(args, tol):
     space = kio.load_space(args.space)
     mu = kio.load_measure(args.mu, expected_space=space)
     eta = kio.load_measure(args.eta, expected_space=space)
-    return _transport_payload(w1(mu, eta, tol=cfg.tol)), 0
+    return _transport_payload(w1(mu, eta, tol=tol)), 0
 
 
-def _cmd_krnorm(args, cfg):
+def _cmd_krnorm(args, tol):
     space = kio.load_space(args.space)
     mu = kio.load_measure(args.mu, expected_space=space)
-    return _transport_payload(kr_norm(mu, tol=cfg.tol)), 0
+    return _transport_payload(kr_norm(mu, tol=tol)), 0
 
 
-def _cmd_mcshane(args, cfg):
+def _cmd_mcshane(args, tol):
     space = kio.load_space(args.space)
     subset = subspace_from_labels(space, args.subset)
     f = kio.load_function(args.f, expected_space=space, subspace=subset)
-    out = mcshane_extend(subset, f, L=args.L, tol=cfg.tol)
+    out = mcshane_extend(subset, f, L=args.L, tol=tol)
     return {"function": kio.dump_function(out), "lip_norm": float(lip_norm(out))}, 0
 
 
-def _cmd_extend(args, cfg):
+def _cmd_extend(args, tol):
     space = kio.load_space(args.space)
     proj = kio.load_projection(args.proj, expected_space=space)
     f = kio.load_function(args.f, expected_space=space, subspace=proj.subset)
@@ -268,18 +253,18 @@ def _cmd_extend(args, cfg):
     return {"function": kio.dump_function(out), "lip_norm": float(lip_norm(out))}, 0
 
 
-def _cmd_gentle2proj(args, cfg):
+def _cmd_gentle2proj(args, tol):
     space = kio.load_space(args.space)
     g = kio.load_gentle(args.gentle, expected_space=space)
     p = gentle_to_projection(g)
     return {
         "projection": kio.dump_projection(p),
         "gentle_constant": float(gentle_constant(g)),
-        "projection_constant": float(projection_constant(p, tol=cfg.tol)),
+        "projection_constant": float(projection_constant(p, tol=tol)),
     }, 0
 
 
-def _cmd_proj2gentle(args, cfg):
+def _cmd_proj2gentle(args, tol):
     space = kio.load_space(args.space)
     p = kio.load_projection(args.proj, expected_space=space)
     g = projection_to_gentle(p)
@@ -290,43 +275,43 @@ def _cmd_proj2gentle(args, cfg):
     }, 0
 
 
-def _cmd_tvconst(args, cfg):
+def _cmd_tvconst(args, tol):
     space = kio.load_space(args.space)
     p = kio.load_projection(args.proj, expected_space=space)
     return {
         "weighted_tv_constant": float(weighted_tv_constant(p)),
-        "projection_constant": float(projection_constant(p, tol=cfg.tol)),
+        "projection_constant": float(projection_constant(p, tol=tol)),
     }, 0
 
 
-def _cmd_udp(args, cfg):
+def _cmd_udp(args, tol):
     space = kio.load_space(args.space)
     subset = subspace_from_labels(space, args.subset)
     t0 = space.index(args.t0)
-    p = uniform_discrete_projection(space, subset, eps=args.eps, t0=t0, tol=cfg.tol)
+    p = uniform_discrete_projection(space, subset, eps=args.eps, t0=t0, tol=tol)
     return {
         "projection": kio.dump_projection(p),
         "bound": float(uniform_discrete_bound(space, subset, args.eps)),
-        "projection_constant": float(projection_constant(p, tol=cfg.tol)),
+        "projection_constant": float(projection_constant(p, tol=tol)),
     }, 0
 
 
-def _cmd_synthesize(args, cfg):
+def _cmd_synthesize(args, tol):
     space = kio.load_space(args.space)
     subset = subspace_from_labels(space, args.subset)
-    res = synthesize_min_k(space, subset, mode=args.mode, tol=cfg.tol)
+    res = synthesize_min_k(space, subset, mode=args.mode, tol=tol)
     return {
         "k_star": float(res.k_star),
         "projection": kio.dump_projection(res.projection),
     }, 0
 
 
-def _cmd_asymptotic(args, cfg):
+def _cmd_asymptotic(args, tol):
     space = kio.load_space(args.space)
     order = None
     if args.order is not None:
         order = [space.index(l) for l in args.order]
-    entries = asymptotic_profile(space, order=order, tol=cfg.tol)
+    entries = asymptotic_profile(space, order=order, tol=tol)
     profile = [
         {
             "size": int(e.size),
@@ -341,13 +326,13 @@ def _cmd_asymptotic(args, cfg):
     return {"profile": profile}, 0
 
 
-def _cmd_retract(args, cfg):
+def _cmd_retract(args, tol):
     y = kio.load_vector(args.vector)
     g, r = retract_l1_ball(y)
     return {"g": float(g), "r": [float(v) for v in r]}, 0
 
 
-def _cmd_shiftbase(args, cfg):
+def _cmd_shiftbase(args, tol):
     space = kio.load_space(args.space)
     raw = kio.read_json(args.f)
     if isinstance(raw, dict) and isinstance(raw.get("space"), str):
@@ -403,11 +388,11 @@ def _report_rows(space, sizes, seed: int, tol: float) -> list[dict]:
     return rows
 
 
-def _cmd_report(args, cfg):
+def _cmd_report(args, tol):
     space = kio.load_space(args.space)
     sizes = args.sizes if args.sizes is not None else list(range(2, min(space.n, 5) + 1))
-    rows = _report_rows(space, sizes, seed=cfg.seed, tol=cfg.tol)
-    if cfg.format == "csv":
+    rows = _report_rows(space, sizes, seed=args.seed, tol=tol)
+    if args.format == "csv":
         buf = _stringio.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_REPORT_COLUMNS)
         writer.writeheader()
@@ -420,23 +405,21 @@ def _cmd_report(args, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _config_from(args) -> RunConfig:
-    tol = args.tol
+def _tolerance(args) -> float:
+    """--tol, else KREXT_TOL, else 1e-9; finite and in (0, 1)."""
+    tol, source = args.tol, "--tol"
     if tol is None:
         env = os.environ.get("KREXT_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise ContractError(f"KREXT_TOL must be a number, got {env!r}") from None
-        else:
-            tol = 1e-9
-    return RunConfig(
-        tol=tol,
-        seed=getattr(args, "seed", 0),
-        format=getattr(args, "format", "json"),
-        out=args.out,
-    )
+        if env is None:
+            return 1e-9
+        try:
+            tol, source = float(env), "KREXT_TOL"
+        except ValueError:
+            raise ContractError(f"KREXT_TOL must be a number, got {env!r}") from None
+    # every tolerance is relative: 1 or more would accept any answer
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ContractError(f"{source} must be a finite tolerance in (0, 1), got {tol}")
+    return tol
 
 
 def main(argv=None) -> int:
@@ -446,11 +429,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # usage error (64) or --help (0)
             return int(exc.code or 0)
-        cfg = _config_from(args)
-        payload, code = args.handler(args, cfg)
+        payload, code = args.handler(args, _tolerance(args))
         text = payload if isinstance(payload, str) else kio.to_json_text(payload)
-        if cfg.out is not None:
-            kio.atomic_write(cfg.out, text)
+        if args.out is not None:
+            kio.atomic_write(args.out, text)
         else:
             sys.stdout.write(text)
         return code

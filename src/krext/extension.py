@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SolverConfig
 from .errors import ContractError, SolverError
 from .metric import FiniteMetricSpace, Subspace
 from .optim import LinearProgram, solve_lp
@@ -146,8 +145,7 @@ def extend_by_projection(upsilon: RandomProjection, f: PointFunction) -> PointFu
     return PointFunction(sub.parent, upsilon.coeffs @ f.values, f.norm)
 
 
-def operator_norm(upsilon: RandomProjection, tol: float = 1e-9,
-                  config: SolverConfig | None = None) -> float:
+def operator_norm(upsilon: RandomProjection, tol: float = 1e-9) -> float:
     """Norm of the induced extension operator, by direct LP.
 
     For each pair (x, y) maximizes sum_m (rows[x](m) - rows[y](m))*f(m)
@@ -175,7 +173,7 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9,
         if key not in objectives:
             lp = LinearProgram(c=c, A=A, senses=("<=",) * b.size, b=b, lb=-bound, ub=bound,
                                maximize=True)
-            res = solve_lp(lp, tol=tol, config=config)
+            res = solve_lp(lp, tol=tol)
             if res.status != "optimal":
                 raise SolverError(f"pair LP unexpectedly {res.status}")
             objectives[key] = res.objective

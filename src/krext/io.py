@@ -179,6 +179,15 @@ def _resolve_space(field, base_dir: Path | None,
     return space
 
 
+def _read_object(source) -> tuple[object, Path | None]:
+    """An inline object as given, or a file's JSON with the folder that
+    anchors the relative space path inside it."""
+    if isinstance(source, dict):
+        return source, None
+    path = Path(source)
+    return read_json(path), path.parent
+
+
 def _label_index(space: FiniteMetricSpace, label, what: str) -> int:
     return space.index(_as_label(label, what))
 
@@ -188,13 +197,7 @@ def _label_index(space: FiniteMetricSpace, label, what: str) -> int:
 
 
 def load_measure(source, expected_space: FiniteMetricSpace | None = None) -> SignedMeasure:
-    base_dir = None
-    if not isinstance(source, dict):
-        path = Path(source)
-        base_dir = path.parent
-        obj = read_json(path)
-    else:
-        obj = source
+    obj, base_dir = _read_object(source)
     _check_keys(obj, "measure", ("space", "coeff"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "measure")
     coeff_raw = obj["coeff"]
@@ -222,13 +225,7 @@ def dump_measure(mu: SignedMeasure) -> dict:
 def load_function(source, expected_space: FiniteMetricSpace | None = None,
                   subspace: Subspace | None = None) -> PointFunction:
     """Read a function file; with a subspace, values cover its members only."""
-    base_dir = None
-    if not isinstance(source, dict):
-        path = Path(source)
-        base_dir = path.parent
-        obj = read_json(path)
-    else:
-        obj = source
+    obj, base_dir = _read_object(source)
     _check_keys(obj, "function", ("space", "dim", "norm", "values"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "function")
     dim = obj["dim"]
@@ -298,13 +295,7 @@ def _parse_subset(space: FiniteMetricSpace, raw, what: str) -> Subspace:
 
 
 def load_projection(source, expected_space: FiniteMetricSpace | None = None) -> RandomProjection:
-    base_dir = None
-    if not isinstance(source, dict):
-        path = Path(source)
-        base_dir = path.parent
-        obj = read_json(path)
-    else:
-        obj = source
+    obj, base_dir = _read_object(source)
     _check_keys(obj, "projection", ("space", "subset", "strong", "rows"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "projection")
     subset = _parse_subset(space, obj["subset"], "projection")
@@ -358,13 +349,7 @@ def dump_projection(p: RandomProjection) -> dict:
 
 
 def load_gentle(source, expected_space: FiniteMetricSpace | None = None) -> GentlePartition:
-    base_dir = None
-    if not isinstance(source, dict):
-        path = Path(source)
-        base_dir = path.parent
-        obj = read_json(path)
-    else:
-        obj = source
+    obj, base_dir = _read_object(source)
     _check_keys(obj, "gentle partition", ("space", "subset", "P", "psi", "gamma"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "gentle partition")
     subset = _parse_subset(space, obj["subset"], "gentle partition")

@@ -21,8 +21,9 @@ The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
 degenerate stall, which restores the termination guarantee.  Optimal
 bases are certified before returning: primal residuals, dual residuals
-and complementary slackness are all rechecked against the configured
-tolerance.
+and complementary slackness are all rechecked against the caller's
+tolerance, the one solver option; pivot, stall and iteration limits are
+module constants.
 """
 
 from __future__ import annotations
@@ -34,10 +35,18 @@ from itertools import chain
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, SolverError
 
 GRID_BITS = 60
+
+# a simplex reduced cost or pivot entry at most this large counts as zero
+PIVOT_TOL = 1e-10
+# hard iteration cap, a safety net on top of the Bland fallback
+MAX_ITERATIONS = 200_000
+# iterations without relative objective progress above STALL_PROGRESS
+# before pricing switches from Dantzig to Bland's rule
+STALL_LIMIT = 120
+STALL_PROGRESS = 1e-13
 
 
 def _grid_exponent(largest: float) -> int:
@@ -284,10 +293,9 @@ class LPResult:
 class _Simplex:
     """Primal simplex on min c.x, A x = b, x >= 0, b >= 0."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, config: SolverConfig):
+    def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = A
         self.b = b
-        self.cfg = config
         self.m, self.n = A.shape
         self.basis: list[int] = []
         self.iterations = 0
@@ -305,36 +313,35 @@ class _Simplex:
         allowed masks the columns that may enter.  Uses Dantzig pricing
         until a degenerate stall, then Bland's rule for termination.
         """
-        cfg = self.cfg
         bland = False
         stall = 0
         last_obj = None
         while True:
             self.iterations += 1
-            if self.iterations > cfg.max_iterations:
+            if self.iterations > MAX_ITERATIONS:
                 raise SolverError("simplex iteration limit exceeded")
             xB = self._solve_basis(self.b)
             y = self._solve_basis(c[self.basis], transpose=True)
             rc = c - y @ self.A
             rc[self.basis] = 0.0
-            candidates = np.nonzero(allowed & (rc < -cfg.pivot_tol))[0]
+            candidates = np.nonzero(allowed & (rc < -PIVOT_TOL))[0]
             if candidates.size == 0:
                 return "optimal", xB
             j = int(candidates[0]) if bland else int(candidates[np.argmin(rc[candidates])])
             d = self._solve_basis(self.A[:, j])
-            pos = np.nonzero(d > cfg.pivot_tol)[0]
+            pos = np.nonzero(d > PIVOT_TOL)[0]
             if pos.size == 0:
                 return "unbounded", xB
             safe_xB = np.maximum(xB, 0.0)
             ratios = safe_xB[pos] / d[pos]
             theta = ratios.min()
-            ties = pos[np.nonzero(ratios <= theta + cfg.pivot_tol * (1.0 + theta))[0]]
+            ties = pos[np.nonzero(ratios <= theta + PIVOT_TOL * (1.0 + theta))[0]]
             # Bland tie break: leave the smallest column index
             leave_row = min(ties, key=lambda r: self.basis[int(r)])
             obj = float(c[self.basis] @ xB)
-            if last_obj is not None and obj > last_obj - 1e-13 * (1.0 + abs(last_obj)):
+            if last_obj is not None and obj > last_obj - STALL_PROGRESS * (1.0 + abs(last_obj)):
                 stall += 1
-                if stall >= cfg.stall_limit:
+                if stall >= STALL_LIMIT:
                     bland = True
             else:
                 stall = 0
@@ -342,8 +349,7 @@ class _Simplex:
             self.basis[int(leave_row)] = j
 
 
-def solve_lp(problem: LinearProgram, tol: float = 1e-9,
-             config: SolverConfig | None = None) -> LPResult:
+def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
     """Two-phase revised simplex with a certified optimal basis.
 
     The result carries the primal point in the original variables, the
@@ -351,166 +357,110 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9,
     Duals follow the minimize convention; they are negated internally
     when the problem maximizes so that strong duality reads the same.
     """
-    cfg = config or DEFAULT_CONFIG
-    if config is None and tol != cfg.tol:
-        cfg = SolverConfig(tol=tol, pivot_tol=cfg.pivot_tol,
-                           max_iterations=cfg.max_iterations, stall_limit=cfg.stall_limit)
     p = problem
     m, n = p.A.shape
-    sign = -1.0 if p.maximize else 1.0
-    c0 = sign * p.c
+    c0 = -p.c if p.maximize else p.c
 
-    # variable transforms to x' >= 0
-    cols: list[np.ndarray] = []
-    cobj: list[float] = []
-    var_map: list[tuple] = []
-    bound_rows: list[tuple[int, float]] = []   # (column index, upper value) for shifted vars
-    for j in range(n):
-        lo, hi = p.lb[j], p.ub[j]
-        col = p.A[:, j]
-        if lo == -np.inf and hi == np.inf:
-            var_map.append(("split", len(cols), len(cols) + 1))
-            cols.append(col.copy()); cobj.append(c0[j])
-            cols.append(-col); cobj.append(-c0[j])
-        else:
-            var_map.append(("shift", len(cols), lo))
-            cols.append(col.copy()); cobj.append(c0[j])
-            if hi != np.inf:
-                bound_rows.append((len(cols) - 1, hi - lo))
+    # standard form, columns in variable order: a free variable splits into
+    # x+ and x- next to each other, any other is shifted to x - lb >= 0, and
+    # a finite upper bound adds the row x - lb <= ub - lb below the LP rows
+    free = p.lb == -np.inf
+    start = np.cumsum(1 + free) - (1 + free)
+    neg = start[free] + 1
+    nx = n + neg.size
+    boxed = np.flatnonzero(~free & (p.ub != np.inf))
+    m2 = m + boxed.size
+    # b - A[:, j] * lb[j] one shifted column at a time, as a running sum
+    shifted = np.flatnonzero(~free & (p.lb != 0.0))
+    b2 = np.cumsum(np.column_stack([p.b, -(p.A[:, shifted] * p.lb[shifted])]), axis=1)[:, -1]
+    b2 = np.concatenate([b2, p.ub[boxed] - p.lb[boxed]])
 
-    nx = len(cols)
-    m2 = m + len(bound_rows)
-    A2 = np.zeros((m2, nx))
-    if nx:
-        A2[:m, :] = np.column_stack(cols) if cols else np.zeros((m, 0))
-    b2 = p.b.astype(float).copy()
-    for j in range(n):
-        kind = var_map[j]
-        if kind[0] == "shift" and kind[2] != 0.0:
-            b2 -= p.A[:, j] * kind[2]
-    b2 = np.concatenate([b2, [val for _, val in bound_rows]])
-    for r, (cidx, _) in enumerate(bound_rows):
-        A2[m + r, cidx] = 1.0
-    senses2 = list(p.senses) + ["<="] * len(bound_rows)
+    # then a slack per inequality row (+1 for <=, -1 for >=); rows with
+    # b < 0 flip so that b >= 0; a row whose slack reads +1 after the flip
+    # starts with it basic, every other row with an artificial column
+    orient = np.concatenate([[{"<=": 1.0, "==": 0.0, ">=": -1.0}[s] for s in p.senses],
+                             np.ones(boxed.size)])
+    slack_rows = np.flatnonzero(orient)
+    nreal = nx + slack_rows.size
+    row_sign = np.where(b2 < 0, -1.0, 1.0)
+    b2 = b2 * row_sign
+    artificial_rows = np.flatnonzero(orient * row_sign != 1.0)
+    ntot = nreal + artificial_rows.size
+    basis = np.full(m2, -1)
+    basis[slack_rows] = np.arange(nx, nreal)
+    basis[artificial_rows] = np.arange(nreal, ntot)
 
-    # slacks, then b >= 0 normalization
-    slack_cols = []
-    for i, s in enumerate(senses2):
-        if s == "<=":
-            e = np.zeros(m2); e[i] = 1.0
-            slack_cols.append((i, e, 1.0))
-        elif s == ">=":
-            e = np.zeros(m2); e[i] = -1.0
-            slack_cols.append((i, e, -1.0))
-    ns = len(slack_cols)
-    A3 = np.zeros((m2, nx + ns))
-    A3[:, :nx] = A2
-    c3 = np.concatenate([np.array(cobj, dtype=float), np.zeros(ns)])
-    slack_of_row = {}
-    for k, (i, e, orient) in enumerate(slack_cols):
-        A3[:, nx + k] = e
-        slack_of_row[i] = (nx + k, orient)
-    row_sign = np.ones(m2)
-    for i in range(m2):
-        if b2[i] < 0:
-            A3[i, :] *= -1.0
-            b2[i] = -b2[i]
-            row_sign[i] = -1.0
+    A3 = np.zeros((m2, ntot))
+    A3[:m, start] = p.A
+    A3[:m, neg] = -p.A[:, free]
+    A3[m + np.arange(boxed.size), start[boxed]] = 1.0
+    A3[slack_rows, nx + np.arange(slack_rows.size)] = orient[slack_rows]
+    A3[:, :nreal] *= row_sign[:, None]
+    A3[artificial_rows, basis[artificial_rows]] = 1.0
+    c_phase2 = np.zeros(ntot)
+    c_phase2[start] = c0
+    c_phase2[neg] = -c0[free]
 
-    # initial basis: usable +1 slack columns, artificials elsewhere
-    basis = [-1] * m2
-    artificial_cols: list[int] = []
-    extra = []
-    for i in range(m2):
-        got = slack_of_row.get(i)
-        if got is not None:
-            jcol, orient = got
-            if A3[i, jcol] == 1.0:
-                basis[i] = jcol
-                continue
-        art = np.zeros(m2); art[i] = 1.0
-        extra.append(art)
-        basis[i] = A3.shape[1] + len(extra) - 1
-        artificial_cols.append(basis[i])
-    if extra:
-        A3 = np.column_stack([A3] + extra)
-    ntot = A3.shape[1]
-    nreal = nx + ns
-
-    sx = _Simplex(A3, b2, cfg)
-    sx.basis = basis
+    sx = _Simplex(A3, b2)
+    sx.basis = basis.tolist()
 
     scale_b = float(np.max(np.abs(b2))) if m2 else 1.0
-    feas_tol = cfg.tol * max(1.0, scale_b)
+    feas_tol = tol * max(1.0, scale_b)
 
-    row_keep = list(range(m2))
-    if artificial_cols:
-        c_phase1 = np.zeros(ntot)
-        for j in artificial_cols:
-            c_phase1[j] = 1.0
-        # artificials start basic and may leave, but never re-enter
-        allowed1 = np.zeros(ntot, dtype=bool)
-        allowed1[:nreal] = True
-        status, xB = sx.run(c_phase1, allowed1)
+    # artificials start basic and may leave, but never re-enter
+    allowed = np.arange(ntot) < nreal
+    row_keep = np.arange(m2)
+    if artificial_rows.size:
+        c_phase1 = (~allowed).astype(float)
+        status, xB = sx.run(c_phase1, allowed)
         phase1_obj = float(c_phase1[sx.basis] @ np.maximum(xB, 0.0))
         if status != "optimal" or phase1_obj > feas_tol:
             return LPResult("infeasible", None, None, None, sx.iterations)
-        # pivot leftover artificials out, or drop their rows as redundant
-        art_set = set(artificial_cols)
-        drop_rows: list[int] = []
-        for r in range(m2):
-            if sx.basis[r] in art_set:
-                w = np.zeros(m2); w[r] = 1.0
-                row = sx._solve_basis(w, transpose=True) @ sx.A[:, :nreal]
-                pick = -1
-                for j in range(nreal):
-                    if j not in sx.basis and abs(row[j]) > cfg.pivot_tol:
-                        pick = j
-                        break
-                if pick >= 0:
-                    sx.basis[r] = pick
-                else:
-                    drop_rows.append(r)
-        if drop_rows:
-            row_keep = [r for r in range(m2) if r not in set(drop_rows)]
+        # pivot leftover artificials out, or drop their rows as redundant;
+        # each pivot changes the basis that the next row's solve reads
+        dropped = np.zeros(m2, dtype=bool)
+        for r in np.flatnonzero(np.array(sx.basis) >= nreal).tolist():
+            w = np.zeros(m2)
+            w[r] = 1.0
+            row = sx._solve_basis(w, transpose=True) @ sx.A[:, :nreal]
+            open_cols = np.ones(ntot, dtype=bool)
+            open_cols[sx.basis] = False
+            pick = np.flatnonzero(open_cols[:nreal] & (np.abs(row) > PIVOT_TOL))
+            if pick.size:
+                sx.basis[r] = int(pick[0])
+            else:
+                dropped[r] = True
+        if dropped.any():
+            row_keep = np.flatnonzero(~dropped)
             sx.A = A3[row_keep, :]
             sx.b = b2[row_keep]
-            sx.m = len(row_keep)
-            sx.basis = [sx.basis[r] for r in row_keep]
+            sx.m = row_keep.size
+            sx.basis = np.array(sx.basis)[row_keep].tolist()
 
-    c_phase2 = np.concatenate([c3, np.zeros(ntot - nreal)])
-    allowed2 = np.zeros(ntot, dtype=bool)
-    allowed2[:nreal] = True
-    status, xB = sx.run(c_phase2, allowed2)
+    status, xB = sx.run(c_phase2, allowed)
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, sx.iterations)
 
-    # reconstruct the primal point
+    # read back x: x+ - x- for a free variable, lb + x' for the others
     xfull = np.zeros(ntot)
-    for r, bi in enumerate(sx.basis):
-        xfull[bi] = max(xB[r], 0.0)
-    x = np.zeros(n)
-    for j in range(n):
-        kind = var_map[j]
-        if kind[0] == "split":
-            x[j] = xfull[kind[1]] - xfull[kind[2]]
-        else:
-            x[j] = kind[2] + xfull[kind[1]]
+    xfull[sx.basis] = np.where(xB < 0.0, 0.0, xB)
+    x = xfull[start]
+    x[free] -= xfull[neg]
+    x[~free] += p.lb[~free]
     objective = float(c0 @ x) + 0.0
 
     # duals on the surviving rows, mapped back to the original rows
     yb = sx._solve_basis(c_phase2[sx.basis], transpose=True)
     y = np.zeros(m)
-    for pos, r in enumerate(row_keep):
-        if r < m:
-            y[r] = yb[pos] * row_sign[r]
+    original = row_keep < m
+    y[row_keep[original]] = yb[original] * row_sign[row_keep[original]]
 
     # certification: primal feasibility, dual feasibility, strong duality
     Ax = sx.A @ xfull[: sx.A.shape[1]]
     p_res = float(np.max(np.abs(Ax - sx.b))) if sx.A.shape[0] else 0.0
     rc = c_phase2 - yb @ sx.A
     d_res = float(max(0.0, -np.min(rc[:nreal]))) if nreal else 0.0
-    cert_tol = cfg.tol * max(1.0, scale_b, float(np.max(np.abs(c_phase2))) if ntot else 1.0)
+    cert_tol = tol * max(1.0, scale_b, float(np.max(np.abs(c_phase2))) if ntot else 1.0)
     gap = abs(float(c_phase2[sx.basis] @ xB) - float(yb @ sx.b))
     if p_res > 100 * cert_tol or d_res > 100 * cert_tol or gap > 100 * cert_tol * (1.0 + abs(objective)):
         raise SolverError(

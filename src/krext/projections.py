@@ -33,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import SolverConfig
 from .errors import ContractError, SolverError
 from .measures import SignedMeasure
 from .metric import FiniteMetricSpace, Subspace
@@ -58,7 +57,10 @@ __all__ = [
     "retract_l1_ball",
 ]
 
+# absolute slack for checks on O(1) probabilities, whose constructors take no tol
 _VALID_TOL = 1e-9
+# strong-mode LP coefficients in [-_CLAMP_TOL, 0) are simplex round-off, set to 0
+_CLAMP_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,8 +386,7 @@ class SynthesisResult:
 
 
 def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
-                     mode: str = "strong", tol: float = 1e-9,
-                     config: SolverConfig | None = None) -> SynthesisResult:
+                     mode: str = "strong", tol: float = 1e-9) -> SynthesisResult:
     """Minimize K over all projections onto the subset, by one joint LP.
 
     Variables: K, one coefficient per (exterior point, member), and one
@@ -463,7 +464,7 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     c = np.zeros(n_vars)
     c[0] = 1.0
     lp = LinearProgram(c=c, A=A, senses=senses, b=b, lb=lb)
-    res = solve_lp(lp, tol=tol, config=config)
+    res = solve_lp(lp, tol=tol)
     if res.status != "optimal":
         raise SolverError(
             f"synthesis LP ended {res.status} on |X|={n}, |M|={m}, mode={mode}"
@@ -472,7 +473,7 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     coeffs = np.zeros((n, m))
     coeffs[exterior] = res.x[1:n_coef].reshape(n_ext, m)
     if mode == "strong":
-        coeffs[(-1e-11 <= coeffs) & (coeffs < 0.0)] = 0.0
+        coeffs[(-_CLAMP_TOL <= coeffs) & (coeffs < 0.0)] = 0.0
     return SynthesisResult(float(res.x[0]), _from_coeffs(subset, coeffs, mode == "strong"))
 
 
@@ -490,8 +491,7 @@ class ProfileEntry:
 
 def asymptotic_profile(space: FiniteMetricSpace,
                        order: Sequence[int] | None = None,
-                       tol: float = 1e-9,
-                       config: SolverConfig | None = None) -> list[ProfileEntry]:
+                       tol: float = 1e-9) -> list[ProfileEntry]:
     """Synthesize minimal strong projections along a growing chain of subsets.
 
     order is a permutation of the points starting at the basepoint; the
@@ -512,7 +512,7 @@ def asymptotic_profile(space: FiniteMetricSpace,
     for k in range(1, n + 1):
         members = tuple(sorted(order[:k]))
         sub = Subspace(space, members)
-        res = synthesize_min_k(space, sub, "strong", tol=tol, config=config)
+        res = synthesize_min_k(space, sub, "strong", tol=tol)
         deviations: dict[int, float] = {}
         for x in range(n):
             diff = res.projection.rows[x] - SignedMeasure.dirac(space, x)

@@ -143,7 +143,7 @@ def kr_norm(mu: SignedMeasure, tol: float = 1e-9) -> TransportResult:
 
 
 def _certify(result: TransportResult, tol: float) -> None:
-    ok, msg = verify_duality(result, tol=max(tol, 1e-9))
+    ok, msg = verify_duality(result, tol=tol)
     if not ok:
         # a broken triangle is the usual cause: name it as a bad input
         require_valid_metric(result.space, tol)

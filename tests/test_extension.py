@@ -379,9 +379,9 @@ def test_operator_norm_solves_each_row_difference_once(monkeypatch):
     distinct = {row.tobytes() for row in diffs[np.any(diffs, axis=1)]}
     calls = []
 
-    def spy(lp, tol=1e-9, config=None):
+    def spy(lp, tol=1e-9):
         calls.append(lp)
-        return solve_lp(lp, tol=tol, config=config)
+        return solve_lp(lp, tol=tol)
 
     monkeypatch.setattr(extension, "solve_lp", spy)
     value = operator_norm(p)

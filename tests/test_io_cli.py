@@ -313,6 +313,30 @@ def test_cli_tol_env_and_flag(files, capsys, monkeypatch):
     assert code == 0  # the flag wins over a broken environment value
 
 
+@pytest.mark.parametrize("env, flag", [
+    (None, "inf"), (None, "nan"), (None, "0"), (None, "1"), ("inf", None),
+])
+def test_cli_rejects_a_tolerance_outside_the_open_unit_interval(files, capsys, monkeypatch, env, flag):
+    # masses 1 and 2: any tolerance of 1 or more would accept the mismatch
+    heavy = files["dir"] / "heavy.json"
+    kio.write_json(heavy, {"space": "space.json", "coeff": {"c": 2.0}})
+    if env is not None:
+        monkeypatch.setenv("KREXT_TOL", env)
+    argv = ["w1", files["space.json"], files["nu.json"], str(heavy)]
+    code, out, err = run_cli(capsys, *argv, *(["--tol", flag] if flag else []))
+    assert code == 1 and out == ""
+    assert "tolerance" in err and ("KREXT_TOL" if env else "--tol") in err
+
+
+def test_cli_takes_a_tight_tolerance(files, capsys, monkeypatch):
+    monkeypatch.setenv("KREXT_TOL", "1e-12")
+    code, out, _ = run_cli(capsys, "krnorm", files["space.json"], files["mu.json"])
+    assert code == 0
+    code, flag_out, _ = run_cli(capsys, "krnorm", files["space.json"], files["mu.json"],
+                                "--tol", "1e-12")
+    assert code == 0 and flag_out == out and json.loads(out)["value"] == 1.5
+
+
 def test_cli_retract(tmp_path, capsys):
     y = tmp_path / "y.json"
     y.write_text("[2.0, 0.5]\n")

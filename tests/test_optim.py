@@ -11,10 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krext.extension as extension
+import krext.projections as projections
 import krext.transport as transport
-from conftest import rand_space
-from krext import ContractError, SignedMeasure, SolverError, kr_norm
-from krext.optim import FlowProblem, FlowResult, LinearProgram, _grid_exponent, solve_flow, solve_lp
+from conftest import rand_signed_projection, rand_space, rand_strong_projection, rand_subspace
+from krext import ContractError, SignedMeasure, SolverError, kr_norm, operator_norm, synthesize_min_k
+from krext.optim import (
+    FlowProblem,
+    FlowResult,
+    LPResult,
+    LinearProgram,
+    _grid_exponent,
+    _Simplex,
+    solve_flow,
+    solve_lp,
+)
 from test_metric import three_point
 
 
@@ -563,3 +574,253 @@ def test_lp_degenerate_instance_terminates():
     res = solve_lp(lp)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.0, abs=1e-12)
+
+
+def solve_lp_loops(problem, tol=1e-9):
+    """Reference solve_lp that assembles the standard form one column,
+    row and slack at a time, on the same simplex and certification."""
+    p = problem
+    m, n = p.A.shape
+    sign = -1.0 if p.maximize else 1.0
+    c0 = sign * p.c
+
+    cols, cobj, var_map, bound_rows = [], [], [], []
+    for j in range(n):
+        lo, hi = p.lb[j], p.ub[j]
+        col = p.A[:, j]
+        if lo == -np.inf and hi == np.inf:
+            var_map.append(("split", len(cols), len(cols) + 1))
+            cols.append(col.copy()); cobj.append(c0[j])
+            cols.append(-col); cobj.append(-c0[j])
+        else:
+            var_map.append(("shift", len(cols), lo))
+            cols.append(col.copy()); cobj.append(c0[j])
+            if hi != np.inf:
+                bound_rows.append((len(cols) - 1, hi - lo))
+
+    nx = len(cols)
+    m2 = m + len(bound_rows)
+    A2 = np.zeros((m2, nx))
+    if nx:
+        A2[:m, :] = np.column_stack(cols)
+    b2 = p.b.astype(float).copy()
+    for j in range(n):
+        kind = var_map[j]
+        if kind[0] == "shift" and kind[2] != 0.0:
+            b2 -= p.A[:, j] * kind[2]
+    b2 = np.concatenate([b2, [val for _, val in bound_rows]])
+    for r, (cidx, _) in enumerate(bound_rows):
+        A2[m + r, cidx] = 1.0
+    senses2 = list(p.senses) + ["<="] * len(bound_rows)
+
+    slack_cols = []
+    for i, s in enumerate(senses2):
+        if s == "<=":
+            e = np.zeros(m2); e[i] = 1.0
+            slack_cols.append((i, e, 1.0))
+        elif s == ">=":
+            e = np.zeros(m2); e[i] = -1.0
+            slack_cols.append((i, e, -1.0))
+    ns = len(slack_cols)
+    A3 = np.zeros((m2, nx + ns))
+    A3[:, :nx] = A2
+    c3 = np.concatenate([np.array(cobj, dtype=float), np.zeros(ns)])
+    slack_of_row = {}
+    for k, (i, e, orient) in enumerate(slack_cols):
+        A3[:, nx + k] = e
+        slack_of_row[i] = (nx + k, orient)
+    row_sign = np.ones(m2)
+    for i in range(m2):
+        if b2[i] < 0:
+            A3[i, :] *= -1.0
+            b2[i] = -b2[i]
+            row_sign[i] = -1.0
+
+    basis = [-1] * m2
+    artificial_cols, extra = [], []
+    for i in range(m2):
+        got = slack_of_row.get(i)
+        if got is not None and A3[i, got[0]] == 1.0:
+            basis[i] = got[0]
+            continue
+        art = np.zeros(m2); art[i] = 1.0
+        extra.append(art)
+        basis[i] = A3.shape[1] + len(extra) - 1
+        artificial_cols.append(basis[i])
+    if extra:
+        A3 = np.column_stack([A3] + extra)
+    ntot = A3.shape[1]
+    nreal = nx + ns
+
+    sx = _Simplex(A3, b2)
+    sx.basis = basis
+    scale_b = float(np.max(np.abs(b2))) if m2 else 1.0
+    feas_tol = tol * max(1.0, scale_b)
+
+    row_keep = list(range(m2))
+    if artificial_cols:
+        c_phase1 = np.zeros(ntot)
+        for j in artificial_cols:
+            c_phase1[j] = 1.0
+        allowed1 = np.zeros(ntot, dtype=bool)
+        allowed1[:nreal] = True
+        status, xB = sx.run(c_phase1, allowed1)
+        phase1_obj = float(c_phase1[sx.basis] @ np.maximum(xB, 0.0))
+        if status != "optimal" or phase1_obj > feas_tol:
+            return LPResult("infeasible", None, None, None, sx.iterations)
+        art_set = set(artificial_cols)
+        drop_rows = []
+        for r in range(m2):
+            if sx.basis[r] in art_set:
+                w = np.zeros(m2); w[r] = 1.0
+                row = sx._solve_basis(w, transpose=True) @ sx.A[:, :nreal]
+                pick = -1
+                for j in range(nreal):
+                    if j not in sx.basis and abs(row[j]) > 1e-10:
+                        pick = j
+                        break
+                if pick >= 0:
+                    sx.basis[r] = pick
+                else:
+                    drop_rows.append(r)
+        if drop_rows:
+            row_keep = [r for r in range(m2) if r not in set(drop_rows)]
+            sx.A = A3[row_keep, :]
+            sx.b = b2[row_keep]
+            sx.m = len(row_keep)
+            sx.basis = [sx.basis[r] for r in row_keep]
+
+    c_phase2 = np.concatenate([c3, np.zeros(ntot - nreal)])
+    allowed2 = np.zeros(ntot, dtype=bool)
+    allowed2[:nreal] = True
+    status, xB = sx.run(c_phase2, allowed2)
+    if status == "unbounded":
+        return LPResult("unbounded", None, None, None, sx.iterations)
+
+    xfull = np.zeros(ntot)
+    for r, bi in enumerate(sx.basis):
+        xfull[bi] = max(xB[r], 0.0)
+    x = np.zeros(n)
+    for j in range(n):
+        kind = var_map[j]
+        if kind[0] == "split":
+            x[j] = xfull[kind[1]] - xfull[kind[2]]
+        else:
+            x[j] = kind[2] + xfull[kind[1]]
+    objective = float(c0 @ x) + 0.0
+
+    yb = sx._solve_basis(c_phase2[sx.basis], transpose=True)
+    y = np.zeros(m)
+    for pos, r in enumerate(row_keep):
+        if r < m:
+            y[r] = yb[pos] * row_sign[r]
+
+    Ax = sx.A @ xfull[: sx.A.shape[1]]
+    p_res = float(np.max(np.abs(Ax - sx.b))) if sx.A.shape[0] else 0.0
+    rc = c_phase2 - yb @ sx.A
+    d_res = float(max(0.0, -np.min(rc[:nreal]))) if nreal else 0.0
+    cert_tol = tol * max(1.0, scale_b, float(np.max(np.abs(c_phase2))) if ntot else 1.0)
+    gap = abs(float(c_phase2[sx.basis] @ xB) - float(yb @ sx.b))
+    if p_res > 100 * cert_tol or d_res > 100 * cert_tol or gap > 100 * cert_tol * (1.0 + abs(objective)):
+        raise SolverError(
+            f"optimal basis failed certification: primal {p_res:.2e}, dual {d_res:.2e}, gap {gap:.2e}"
+        )
+    if p.maximize:
+        objective = -objective
+        y = -y
+    return LPResult("optimal", x, y, objective, sx.iterations)
+
+
+def _outcome(solve, lp):
+    try:
+        return solve(lp)
+    except SolverError as exc:
+        return str(exc)
+
+
+def assert_same_lp(lp):
+    """solve_lp and its loop reference agree exactly; returns the status."""
+    got, want = _outcome(solve_lp, lp), _outcome(solve_lp_loops, lp)
+    if isinstance(want, str):
+        assert got == want
+        return "error"
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    if want.status == "optimal":
+        assert got.objective.hex() == want.objective.hex()
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    else:
+        assert got.x is got.y is got.objective is None
+    return want.status
+
+
+def captured_lps(module, run):
+    """The LinearProgram instances that run() hands to module.solve_lp."""
+    lps = []
+    original = module.solve_lp
+
+    def capture(lp, **kwargs):
+        lps.append(lp)
+        return original(lp, **kwargs)
+
+    module.solve_lp = capture
+    try:
+        run()
+    finally:
+        module.solve_lp = original
+    return lps
+
+
+def random_lp(rng):
+    """Small LP mixing row senses and the four bound kinds: zero lower
+    bound, free, shifted, boxed; integer data half the time, for ties and
+    degenerate vertices, and sometimes a repeated row, which is redundant."""
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    if rng.random() < 0.5:
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = rng.integers(-4, 5, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        A = rng.uniform(-2.0, 2.0, size=(m, n))
+        b = rng.uniform(-3.0, 3.0, size=m)
+        c = rng.uniform(-2.0, 2.0, size=n)
+    senses = tuple(rng.choice(["<=", "==", ">="], size=m).tolist())
+    if m >= 2 and rng.random() < 0.3:
+        A[-1], b[-1] = 2.0 * A[0], 2.0 * b[0]
+        senses = senses[:-1] + ("==",)
+    kind = rng.integers(0, 4, size=n)
+    lb = np.where(kind == 1, -np.inf, 0.0)
+    lb[kind >= 2] = rng.uniform(-3.0, 3.0, size=int(np.sum(kind >= 2)))
+    ub = np.full(n, np.inf)
+    ub[kind == 3] = lb[kind == 3] + rng.uniform(0.0, 4.0, size=int(np.sum(kind == 3)))
+    return LinearProgram(c, A, senses, b, lb=lb, ub=ub, maximize=bool(rng.random() < 0.3))
+
+
+@pytest.mark.parametrize("mode", ["strong", "signed"])
+def test_lp_matches_the_loop_reference_on_synthesis(mode):
+    rng = np.random.default_rng(211)
+    lps = []
+    for _ in range(40):
+        space = rand_space(rng, int(rng.integers(3, 8)))
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
+        lps += captured_lps(projections, lambda: synthesize_min_k(space, subset, mode=mode))
+    assert len(lps) == 40
+    assert {assert_same_lp(lp) for lp in lps} == {"optimal"}
+
+
+def test_lp_matches_the_loop_reference_on_operator_norm():
+    rng = np.random.default_rng(223)
+    lps = []
+    for k in range(30):
+        space = rand_space(rng, int(rng.integers(4, 8)))
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, min(space.n, 5))))
+        p = (rand_strong_projection if k % 2 else rand_signed_projection)(rng, subset)
+        lps += captured_lps(extension, lambda: operator_norm(p))
+    assert len(lps) >= 200
+    assert {assert_same_lp(lp) for lp in lps} == {"optimal"}
+
+
+def test_lp_matches_the_loop_reference_on_random_programs():
+    rng = np.random.default_rng(227)
+    statuses = [assert_same_lp(random_lp(rng)) for _ in range(800)]
+    counts = {s: statuses.count(s) for s in set(statuses)}
+    assert counts["optimal"] >= 200 and counts["infeasible"] >= 100 and counts["unbounded"] >= 100

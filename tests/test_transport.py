@@ -180,6 +180,23 @@ def test_flow_problem_holds_only_direct_arcs(kind, monkeypatch):
         assert len(problem.arcs) == n_pos * n_neg
 
 
+@pytest.mark.parametrize("kind", ["kr", "w1"])
+def test_certificate_is_checked_at_the_callers_tolerance(kind, monkeypatch):
+    seen = []
+
+    def spy(result, tol=1e-9):
+        seen.append(tol)
+        return verify_duality(result, tol=tol)
+
+    monkeypatch.setattr(transport, "verify_duality", spy)
+    space = three_point()
+    if kind == "kr":
+        kr_norm(SignedMeasure(space, {1: 1.0, 2: -0.5}), tol=1e-12)
+    else:
+        w1(SignedMeasure(space, {1: 1.0}), SignedMeasure(space, {2: 1.0}), tol=1e-12)
+    assert seen == [1e-12]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_w1_is_a_metric_on_probability_measures(seed):
