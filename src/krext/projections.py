@@ -404,7 +404,9 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     if subset.parent != space:
         raise ContractError("subset belongs to a different space")
     n = space.n
-    d = space.dist
+    # K* is dimensionless: on d / 2^e, 2^e the least power of two above the
+    # diameter, a metric scaled by any power of two gives the same LP bit for bit
+    d = np.ldexp(space.dist, -math.frexp(space.diameter)[1])
     members = np.array(subset.members)
     m = members.size
     is_member = np.isin(np.arange(n), members)

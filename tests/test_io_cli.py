@@ -315,6 +315,7 @@ def test_cli_tol_env_and_flag(files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("env, flag", [
     (None, "inf"), (None, "nan"), (None, "0"), (None, "1"), ("inf", None),
+    (None, "1e-16"), ("1e-16", None),
 ])
 def test_cli_rejects_a_tolerance_outside_the_open_unit_interval(files, capsys, monkeypatch, env, flag):
     # masses 1 and 2: any tolerance of 1 or more would accept the mismatch
@@ -335,6 +336,9 @@ def test_cli_takes_a_tight_tolerance(files, capsys, monkeypatch):
     code, flag_out, _ = run_cli(capsys, "krnorm", files["space.json"], files["mu.json"],
                                 "--tol", "1e-12")
     assert code == 0 and flag_out == out and json.loads(out)["value"] == 1.5
+    code, floor_out, _ = run_cli(capsys, "krnorm", files["space.json"], files["mu.json"],
+                                 "--tol", "1e-15")
+    assert code == 0 and floor_out == out
 
 
 def test_cli_retract(tmp_path, capsys):

@@ -16,12 +16,14 @@ from krext import (
     FiniteMetricSpace,
     MalformedInputError,
     Subspace,
+    Violation,
     doubling_estimate,
     restrict,
     require_valid_metric,
     subspace_from_labels,
     validate_metric,
 )
+from krext import metric
 
 
 def three_point() -> FiniteMetricSpace:
@@ -32,8 +34,128 @@ def three_point() -> FiniteMetricSpace:
     )
 
 
+def grid_space(k: int) -> FiniteMetricSpace:
+    """Shortest paths in the k x k grid graph: integer distances, many ties."""
+    pts = np.array([(a, b) for a in range(k) for b in range(k)], dtype=float)
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return FiniteMetricSpace(tuple(f"g{i}" for i in range(k * k)), d)
+
+
+def damaged_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
+    """A seeded space with some metric axioms broken.
+
+    Off-diagonal entries are shifted, negated or zeroed, the matrix may be
+    rounded to integers (ties), and one diagonal entry may be negative or
+    a quarter of the smallest positive distance.  A larger diagonal entry
+    would stall doubling_estimate_loops, which re-picks a point that its
+    own half-radius ball does not cover.
+    """
+    base = rand_space(rng, n) if rng.random() < 0.5 else rand_repaired_space(rng, n)
+    d = base.dist.copy()
+    if rng.random() < 0.4:
+        d = np.round(d)
+    for _ in range(int(rng.integers(0, 4)) if n > 1 else 0):
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        kind = rng.integers(3)
+        if kind == 0:
+            d[i, j] += rng.uniform(-1.0, 1.0)        # asymmetric
+        elif kind == 1:
+            d[i, j] = d[j, i] = -abs(d[i, j])        # negative
+        else:
+            d[i, j] = d[j, i] = 0.0                  # merged points
+    upper = d[np.triu_indices(n, 1)]
+    upper = upper[upper > 0]
+    if upper.size and rng.random() < 0.4:
+        i = int(rng.integers(n))
+        d[i, i] = -1.0 if rng.random() < 0.5 else upper.min() / 4.0
+    return FiniteMetricSpace(base.labels, d, base.basepoint)
+
+
+def integer_space(rng: np.random.Generator, n: int, diagonal=(-1, 0, 1)) -> FiniteMetricSpace:
+    """A small-integer matrix in [-1, 4] with largest entry 4, symmetric half the time.
+
+    At tol = 1/4 every check's threshold is exactly 1, so entries land on it.
+    """
+    d = rng.integers(-1, 5, size=(n, n)).astype(float)
+    if rng.random() < 0.5:
+        d = np.triu(d, 1) + np.triu(d, 1).T
+    d[0, n - 1] = 4.0
+    np.fill_diagonal(d, rng.choice(diagonal, size=n))
+    return FiniteMetricSpace(tuple(f"z{i}" for i in range(n)), d)
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
+
+
+def validate_metric_loops(space: FiniteMetricSpace, tol: float = 1e-9) -> list[Violation]:
+    """Loop-form reference for validate_metric: the same report, entry by entry."""
+    d = space.dist
+    n = space.n
+    scale = float(d.max()) if n > 1 else 1.0
+    eff = tol * max(scale, 1e-300)
+    out: list[Violation] = []
+
+    for i in range(n):
+        if abs(d[i, i]) > eff:
+            out.append(Violation("diagonal", (i,), float(abs(d[i, i]))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] < -eff:
+                out.append(Violation("nonnegative", (i, j), float(-d[i, j])))
+            gap = abs(d[i, j] - d[j, i])
+            if gap > eff:
+                out.append(Violation("symmetry", (i, j), float(gap)))
+            if d[i, j] <= eff:
+                out.append(Violation("separation", (i, j), float(abs(d[i, j]))))
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            through = d[i, j] + d[j, :]
+            slack = d[i, :] - through
+            for k in np.nonzero(slack > eff)[0]:
+                if k != i and k != j and k > i:
+                    out.append(Violation("triangle", (i, j, int(k)), float(slack[k])))
+    return out
+
+
+def bitwise(report: list[Violation]) -> list[tuple]:
+    return [(v.kind, v.indices, v.excess.hex()) for v in report]
+
+
+def test_validate_metric_matches_the_loop_reference():
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for _ in range(120):
+        space = damaged_space(rng, int(rng.integers(1, 11)))
+        for tol in (1e-9, 0.05):
+            want = validate_metric_loops(space, tol)
+            got = validate_metric(space, tol)
+            assert bitwise(got) == bitwise(want)
+            assert all(type(i) is int for v in got for i in v.indices)
+            kinds.update(v.kind for v in want)
+    assert kinds == {"diagonal", "nonnegative", "symmetry", "separation", "triangle"}
+    for _ in range(60):
+        space = integer_space(rng, int(rng.integers(2, 8)))
+        assert bitwise(validate_metric(space, 0.25)) == bitwise(validate_metric_loops(space, 0.25))
+    for k in (2, 3, 4):
+        assert validate_metric(grid_space(k)) == validate_metric_loops(grid_space(k)) == []
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_validate_metric_reads_chunks_in_loop_order(monkeypatch, rows):
+    monkeypatch.setattr(metric, "_BLOCK_FLOATS", rows * 12 * 12)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        space = damaged_space(rng, 12)
+        d = space.dist.copy()
+        for i in (0, 5, 10):  # long edges put triangles in several chunks
+            d[i, 11] = d[11, i] = d.max() * 3.0
+        space = FiniteMetricSpace(space.labels, d, space.basepoint)
+        want = validate_metric_loops(space)
+        assert {v.indices[0] for v in want if v.kind == "triangle"} >= {0, 5, 10}
+        assert bitwise(validate_metric(space)) == bitwise(want)
 
 
 def test_one_point_space_is_valid():
@@ -147,6 +269,14 @@ def test_restrict_requires_basepoint():
         restrict(three_point(), (1, 2))
 
 
+@pytest.mark.parametrize("members, message", [
+    ((0, 1, 1), "distinct"), ((), "nonempty"), ((0, 3), "out of range"), ((-1, 0), "out of range"),
+])
+def test_restrict_rejects_a_bad_subset(members, message):
+    with pytest.raises(ContractError, match=message):
+        restrict(three_point(), members)
+
+
 def test_subspace_membership_and_complement():
     space = three_point()
     sub = Subspace(space, (0, 2))
@@ -179,6 +309,57 @@ def test_restriction_of_metric_is_metric(seed, n):
 
 # ---------------------------------------------------------------------------
 # doubling estimate
+
+
+def doubling_estimate_loops(space: FiniteMetricSpace) -> int:
+    """Loop-form reference for doubling_estimate: one greedy cover per ball."""
+    d = space.dist
+    n = space.n
+    best = 1
+    radii = sorted({float(d[i, j]) for i in range(n) for j in range(i + 1, n) if d[i, j] > 0})
+    for c in range(n):
+        for r in radii:
+            ball = np.nonzero(d[c] <= r)[0]
+            if len(ball) == 0:
+                continue
+            uncovered = set(int(p) for p in ball)
+            count = 0
+            while uncovered:
+                far = max(uncovered, key=lambda p: (d[c, p], -p))
+                count += 1
+                uncovered = {q for q in uncovered if d[far, q] > r / 2.0}
+            best = max(best, count)
+    return best
+
+
+def test_doubling_matches_the_loop_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(80):
+        space = damaged_space(rng, int(rng.integers(1, 11)))
+        assert doubling_estimate(space) == doubling_estimate_loops(space)
+    for _ in range(10):
+        space = rand_space(rng, 14)
+        assert doubling_estimate(space) == doubling_estimate_loops(space)
+    # nonpositive diagonals: a positive one can stall the loop form (see damaged_space)
+    for _ in range(150):
+        space = integer_space(rng, int(rng.integers(2, 9)), diagonal=(-1, 0))
+        assert doubling_estimate(space) == doubling_estimate_loops(space)
+    # radii come from the upper triangle only; the lower one holds 4 here
+    d = np.array([[0, 1, 0, 2], [4, 0, 1, 2], [4, 1, 0, 1], [0, 3, 0, 0]], dtype=float)
+    space = FiniteMetricSpace(tuple("abcd"), d)
+    assert doubling_estimate(space) == doubling_estimate_loops(space) == 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_doubling_matches_the_loop_reference_on_grids(k):
+    space = grid_space(k)
+    assert doubling_estimate(space) == doubling_estimate_loops(space)
+
+
+def test_doubling_counts_a_point_its_own_ball_misses_once():
+    # d(a, a) = 0.6 > r/2 for the only radius 1: the loop form never ends
+    space = FiniteMetricSpace(("a", "b"), np.array([[0.6, 1.0], [1.0, 0.0]]))
+    assert doubling_estimate(space) == 2
 
 
 def _minimal_cover_max(space: FiniteMetricSpace) -> int:

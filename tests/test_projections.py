@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     rand_gentle,
+    rand_repaired_space,
     rand_signed_projection,
     rand_space,
     rand_strong_projection,
@@ -621,7 +622,10 @@ def test_synthesis_lp_matches_the_loop_reference(mode, monkeypatch):
         subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
         solved.clear()
         res = synthesize_min_k(space, subset, mode=mode)
-        c, A, senses, b, lb, rows_of = synthesis_lp_loops(space, subset, mode)
+        # the LP is built on the metric scaled into [0, 1) by a power of two
+        unit = FiniteMetricSpace(space.labels, np.ldexp(space.dist, -math.frexp(space.diameter)[1]),
+                                 space.basepoint)
+        c, A, senses, b, lb, rows_of = synthesis_lp_loops(unit, subset, mode)
         ((lp, sol),) = solved
         assert np.array_equal(lp.c, c) and np.array_equal(lp.A, A)
         assert np.array_equal(lp.b, b) and np.array_equal(lp.lb, lb)
@@ -701,6 +705,44 @@ def test_synthesize_signed_never_beats_strong_by_much(seed):
     assert signed.k_star <= strong.k_star + 1e-9
     if subset.size >= 2:
         assert signed.k_star >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("mode", ["strong", "signed"])
+def test_synthesized_k_is_the_constant_of_its_projection(mode):
+    # the flow solver's constant of the returned projection attains K*
+    rng = np.random.default_rng(41)
+    for t in range(40):
+        make = rand_space if t % 2 == 0 else rand_repaired_space
+        space = make(rng, int(rng.integers(3, 9)))
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
+        res = synthesize_min_k(space, subset, mode=mode)
+        assert projection_constant(res.projection) == pytest.approx(res.k_star, rel=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(-80, 80), st.sampled_from(["strong", "signed"]))
+@settings(max_examples=25, deadline=None)
+def test_synthesis_is_bitwise_invariant_under_power_of_two_scaling(seed, k, mode):
+    rng = np.random.default_rng(seed)
+    space = rand_space(rng, int(rng.integers(3, 8)))
+    subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
+    scaled = FiniteMetricSpace(space.labels, np.ldexp(space.dist, k), space.basepoint)
+    res = synthesize_min_k(space, subset, mode=mode)
+    out = synthesize_min_k(scaled, Subspace(scaled, subset.members), mode=mode)
+    assert out.k_star.hex() == res.k_star.hex()
+    assert out.projection.coeffs.tobytes() == res.projection.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e15, 1e-9, 2.0**30])
+def test_synthesis_k_does_not_depend_on_the_unit(scale):
+    rng = np.random.default_rng(0)
+    space = rand_space(rng, 8)
+    others = [x for x in range(8) if x != space.basepoint]
+    picked = rng.choice(others, 3, replace=False)
+    members = tuple(sorted([space.basepoint] + [int(x) for x in picked]))
+    scaled = FiniteMetricSpace(space.labels, space.dist * scale, space.basepoint)
+    want = synthesize_min_k(space, Subspace(space, members)).k_star
+    got = synthesize_min_k(scaled, Subspace(scaled, members)).k_star
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_synthesize_rejects_unknown_mode():

@@ -7,8 +7,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -23,21 +21,6 @@ def load_script(name: str):
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def test_run_report_writes_one_row_per_trial_and_size(tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    script = load_script("run_report")
-    assert script.main(["--trials", "2", "--points", "4", "--sizes", "1,3",
-                        "--seed", "3", "--out", str(out)]) == 0
-    rows = read_rows(out)
-    assert [(r["trial"], r["subset_size"]) for r in rows] == [
-        ("0", "1"), ("0", "3"), ("1", "1"), ("1", "3")]
-    for r in rows:
-        assert float(r["K_signed"]) <= float(r["K_strong"]) + 1e-9
-        assert float(r["pc_check"]) == pytest.approx(float(r["K_strong"]), abs=1e-7)
-        assert float(r["tv_const"]) >= float(r["pc_check"]) - 1e-9
-    assert "wrote 4 rows" in capsys.readouterr().out
 
 
 def test_asymptotic_experiment_profiles_every_subset_size(tmp_path, capsys):
@@ -56,9 +39,7 @@ def test_asymptotic_experiment_profiles_every_subset_size(tmp_path, capsys):
 
 def test_scripts_reject_bad_arguments(tmp_path, capsys):
     out = tmp_path / "never.csv"
-    assert load_script("run_report").main(["--points", "3", "--sizes", "5",
-                                           "--out", str(out)]) == 2
     assert load_script("asymptotic_experiment").main(["--min-points", "5", "--max-points", "4",
                                                       "--out", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err.count("error:") == 2
+    assert capsys.readouterr().err.count("error:") == 1
