@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, SolverError
+from .errors import ContractError, SolverError, check_tol
 from .metric import FiniteMetricSpace, Subspace
 from .optim import LinearProgram, solve_lp
 from .projections import RandomProjection
@@ -101,6 +101,7 @@ def mcshane_extend(subspace: Subspace, f: PointFunction,
     member values are copied unchanged.  L defaults to the Lipschitz
     constant of f and may not fall below it.
     """
+    check_tol(tol)
     msp = subspace.to_space()
     if f.space != msp:
         raise ContractError("the function must live on the subset's induced space")
@@ -154,6 +155,7 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9) -> float:
     Agrees with projection_constant, which evaluates the same quantity
     through transport flows.
     """
+    check_tol(tol)
     msp = upsilon.subset.to_space()
     free = np.flatnonzero(np.arange(msp.n) != msp.basepoint)
     # one row f(i) - f(j) <= d(i, j) per ordered pair of free members

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, MalformedInputError
+from .errors import ContractError, MalformedInputError, check_tol
 
 # floats per triangle chunk in validate_metric (one n x n row at least): 512 KiB
 # stays in cache, and ran faster than 32 MiB chunks at n = 50..300
@@ -113,6 +113,7 @@ def validate_metric(space: FiniteMetricSpace, tol: float = 1e-9) -> list[Violati
     Violations come diagonal first, then pairs i < j row-major, each as
     nonnegative, symmetry, separation, then triangles (i, j, k) in order.
     """
+    check_tol(tol)
     d = space.dist
     n = space.n
     scale = float(d.max()) if n > 1 else 1.0

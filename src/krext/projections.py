@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, SolverError
+from .errors import ContractError, SolverError, check_tol
 from .measures import SignedMeasure
 from .metric import FiniteMetricSpace, Subspace
 from .optim import LinearProgram, solve_lp
@@ -259,6 +259,7 @@ def projection_constant(p: RandomProjection, tol: float = 1e-9) -> float:
     difference, divided by the point distance.  Pairs whose rows differ
     by the same coefficient vector share one solve.
     """
+    check_tol(tol)
     space = p.space
     members = p.subset.members
     norms: dict[bytes, float] = {}
@@ -337,6 +338,7 @@ def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
     The projection constant is bounded by 2*max(D, eps)/eps where D is
     the subset diameter.
     """
+    check_tol(tol)
     if subset.parent != space:
         raise ContractError("subset belongs to a different space")
     if not (math.isfinite(eps) and eps > 0):
@@ -399,6 +401,7 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     each row's total mass to 1, the canonical representative since the
     pairing cannot see the basepoint component.
     """
+    check_tol(tol)
     if mode not in ("strong", "signed"):
         raise ContractError(f"mode must be 'strong' or 'signed', got {mode!r}")
     if subset.parent != space:
@@ -502,6 +505,7 @@ def asymptotic_profile(space: FiniteMetricSpace,
     and its own point mass — identically zero once the point joins the
     subset, and zero everywhere at full size.
     """
+    check_tol(tol)
     n = space.n
     if order is None:
         order = [space.basepoint] + [x for x in range(n) if x != space.basepoint]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, SolverError
+from .errors import ContractError, SolverError, check_tol
 from .measures import SignedMeasure, total_variation
 from .metric import FiniteMetricSpace, require_valid_metric
 from .optim import FlowProblem, solve_flow
@@ -94,6 +94,7 @@ def w1(mu: SignedMeasure, eta: SignedMeasure, tol: float = 1e-9) -> TransportRes
     The mass that mu and eta share stays put on the diagonal; the rest
     moves from points where mu exceeds eta to points where eta exceeds mu.
     """
+    check_tol(tol)
     if mu.space is not eta.space and mu.space != eta.space:
         raise ContractError("measures live on different spaces")
     if not mu.is_nonnegative() or not eta.is_nonnegative():
@@ -130,6 +131,7 @@ def kr_norm(mu: SignedMeasure, tol: float = 1e-9) -> TransportResult:
     negative part (with the basepoint if it must swallow).  For point
     masses, kr_norm(dirac(x) - dirac(y)) is exactly d(x, y).
     """
+    check_tol(tol)
     space = mu.space
     n = space.n
     bp = space.basepoint
@@ -158,6 +160,7 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     distance, a nonzero basepoint value, a negative or misaligned plan,
     marginals that miss the measures, or a primal/dual value mismatch.
     """
+    check_tol(tol)
     space = result.space
     n = space.n
     d = space.dist

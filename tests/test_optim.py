@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krext.extension as extension
+import krext.optim as optim
 import krext.projections as projections
 import krext.transport as transport
 from conftest import rand_signed_projection, rand_space, rand_strong_projection, rand_subspace
@@ -142,6 +143,12 @@ def test_flow_single_node():
     res = solve_flow(flow_problem(1, np.array([0.0]), ()))
     assert res.cost == 0.0
     assert res.flow.size == 0
+
+
+def test_flow_without_nodes():
+    # no nodes and no arcs meets any arcs-per-node density gate
+    res = solve_flow(flow_problem(0, np.zeros(0), ()))
+    assert (res.cost, res.flow.size, res.potentials.size, res.phases) == (0.0, 0, 0, 0)
 
 
 def test_flow_two_nodes_forced_arc():
@@ -348,11 +355,26 @@ def assert_same_flow(problem, exact_path):
         assert np.array_equal(new.flow, ref.flow)
         assert np.array_equal(new.potentials, ref.potentials)
         assert (new.phases, new.augmentations) == (ref.phases, ref.augmentations)
+    return new
+
+
+def count_prepass_phases(monkeypatch):
+    """One entry per phase that calls the label pre-pass: whether it filtered the arcs."""
+    phases = []
+    real = optim._LabelPrepass.tight_arcs
+
+    def spy(self, *args):
+        scan = real(self, *args)
+        phases.append(scan is not None)
+        return scan
+
+    monkeypatch.setattr(optim._LabelPrepass, "tight_arcs", spy)
+    return phases
 
 
 @pytest.mark.parametrize("kind", ["kr", "w1"])
 @pytest.mark.parametrize("sparse", [False, True])
-def test_flow_matches_the_paired_edge_reference_on_transport(kind, sparse):
+def test_flow_matches_the_paired_edge_reference_on_transport(kind, sparse, monkeypatch):
     seen = []
 
     def spy(problem, tol=1e-9):
@@ -362,7 +384,7 @@ def test_flow_matches_the_paired_edge_reference_on_transport(kind, sparse):
     rng = np.random.default_rng(61 + sparse)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "solve_flow", spy)
-        for n in (8, 20, 36):
+        for n in (8, 20, 36, 100):
             space = rand_space(rng, n)
             support = rng.choice(n, size=max(2, n // 8) if sparse else n, replace=False)
             if kind == "kr":
@@ -372,17 +394,24 @@ def test_flow_matches_the_paired_edge_reference_on_transport(kind, sparse):
                 w /= w.sum(axis=1, keepdims=True)
                 mu, eta = (SignedMeasure(space, dict(zip(support.tolist(), r.tolist()))) for r in w)
                 transport.w1(mu, eta)
-    assert len(seen) == 3
+    assert len(seen) == 4
+    prepass = count_prepass_phases(monkeypatch)
     for problem in seen:
-        assert_same_flow(problem, exact_path=True)
+        before = len(prepass)
+        res = assert_same_flow(problem, exact_path=True)
+        # only full support at n=100 is dense enough; there every phase has headroom
+        dense = problem is seen[-1] and not sparse
+        assert prepass[before:] == [True] * (res.phases if dense else 0)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "spread", "integer"])
-def test_flow_matches_the_paired_edge_reference_on_complete_digraphs(kind):
-    # spread costs span 2**-40..3, so most leave fractional bits on the grid
+def test_flow_matches_the_paired_edge_reference_on_complete_digraphs(kind, monkeypatch):
+    # spread costs span 2**-40..3, so most leave fractional bits on the grid;
+    # the last digraph has 19..39 arcs per node, so the label pre-pass runs
+    prepass = count_prepass_phases(monkeypatch)
     rng = np.random.default_rng(62)
-    for _ in range(25):
-        n = int(rng.integers(2, 14))
+    for i in range(26):
+        n = int(rng.integers(2, 14) if i < 25 else rng.integers(20, 41))
         supplies = rng.uniform(-2, 2, size=n)
         supplies[-1] -= supplies.sum()
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -392,7 +421,29 @@ def test_flow_matches_the_paired_edge_reference_on_complete_digraphs(kind):
         elif kind == "integer":
             costs = np.round(costs)
         problem = FlowProblem(n, supplies, np.array(arcs), costs)
-        assert_same_flow(problem, exact_path=kind != "integer")
+        before = len(prepass)
+        res = assert_same_flow(problem, exact_path=kind != "integer")
+        assert prepass[before:] == [True] * (res.phases if i == 25 else 0)
+
+
+def test_flow_keeps_exact_paths_when_labels_outgrow_the_int64_headroom(monkeypatch):
+    # a circulant digraph, each node with arcs to its next 17: dense but not
+    # complete, so mass crosses it in up to 10 hops and the shortest-path
+    # labels pass 4x the largest cost: the first phase saturates labels,
+    # and the later ones lack the headroom and scan every arc
+    prepass = count_prepass_phases(monkeypatch)
+    rng = np.random.default_rng(65)
+    n, reach = 160, 17
+    u = np.repeat(np.arange(n), reach)
+    v = (u + np.tile(np.arange(1, reach + 1), n)) % n
+    costs = rng.uniform(1.0, 2.0, u.size)
+    supplies = np.zeros(n)
+    supplies[[0, 1, 2]] = [1.5, 1.0, 0.5]
+    supplies[[80, 120, 155, 159]] = [-0.5, -0.75, -0.75, -1.0]
+    problem = FlowProblem(n, supplies, np.column_stack([u, v]), costs)
+    res = assert_same_flow(problem, exact_path=True)
+    assert np.ptp(res.potentials) > 4.0 * costs.max()
+    assert prepass == [True] + [False] * (res.phases - 1)
 
 
 def test_flow_matches_the_paired_edge_reference_on_the_grid_metric():

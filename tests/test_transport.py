@@ -197,6 +197,23 @@ def test_certificate_is_checked_at_the_callers_tolerance(kind, monkeypatch):
     assert seen == [1e-12]
 
 
+@pytest.mark.parametrize("kind", ["kr", "w1"])
+def test_a_tolerance_below_the_floor_is_a_contract_error(kind):
+    # below 1e-15 rounding alone fails valid inputs, so the library refuses it
+    rng = np.random.default_rng(64)
+    space = rand_space(rng, 12)
+    w = rng.uniform(0.05, 1.0, size=(2, 12))
+    w /= w.sum(axis=1, keepdims=True)
+    mu, eta = (SignedMeasure(space, dict(enumerate(r.tolist()))) for r in w)
+
+    def solve(tol):
+        return kr_norm(mu - eta, tol=tol) if kind == "kr" else w1(mu, eta, tol=tol)
+
+    with pytest.raises(ContractError, match=r"tol must be a finite tolerance in \[1e-15, 1\)"):
+        solve(1e-16)
+    assert solve(1e-15).value == solve(1e-9).value
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_w1_is_a_metric_on_probability_measures(seed):
