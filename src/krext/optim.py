@@ -36,11 +36,16 @@ and potentials stay below the largest cost, 2**60 on the grid.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
-degenerate stall, which restores the termination guarantee.  Optimal
-bases are certified before returning: primal residuals, dual residuals
-and complementary slackness are all rechecked against the caller's
-tolerance, the one solver option; pivot, stall and iteration limits are
-module constants.
+degenerate stall, which restores the termination guarantee.  Each run
+keeps one explicit basis inverse for x_B, the duals and the entering
+column: np.linalg.inv forms it at the start and every REFACTOR pivots,
+one rank-one (eta) update per pivot keeps it in between, and an
+"optimal" or "unbounded" verdict is only taken on a freshly formed one.
+Optimal bases are certified before returning, on a fresh solve of the
+final basis that does not read the maintained inverse: primal residuals,
+dual residuals and complementary slackness are all rechecked against the
+caller's tolerance, the one solver option; pivot, stall, refactor and
+iteration limits are module constants.
 """
 
 from __future__ import annotations
@@ -75,6 +80,12 @@ MAX_ITERATIONS = 200_000
 # before pricing switches from Dantzig to Bland's rule
 STALL_LIMIT = 120
 STALL_PROGRESS = 1e-13
+# pivots between two fresh basis inverses in _Simplex.run.  Each rank-one
+# update adds its own rounding, which a fresh inverse clears; one
+# np.linalg.inv costs as much as 17-30 updates at 40-288 rows (one BLAS
+# thread, timeit), so refactoring every 50 pivots adds at most about 0.6
+# of an update per pivot.
+REFACTOR = 50
 
 
 def _grid_exponent(largest: float) -> int:
@@ -163,11 +174,11 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     tails, heads = arcs.T.tolist()
 
     # residual arcs (node, cost, k or ~k) out of each node: uncapacitated arc
-    # k is always open forward, and backward (~k) only while it carries flow
+    # k is always open forward, and backward (~k) only while it carries flow;
+    # the lists of every forward arc are built on first need, since dense
+    # phases scan the pre-pass's lists instead
     entries = list(zip(heads, cost, range(len(cost))))
-    forward: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for u, entry in zip(tails, entries):
-        forward[u].append(entry)
+    forward: list[list[tuple[int, int, int]]] | None = None
     backward: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
     dense = n > 0 and len(cost) >= DENSE_ARCS_PER_NODE * n
     prepass = _LabelPrepass(arcs, cost_grid, entries) if dense else None
@@ -189,9 +200,13 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         for s in sources:
             dist[s] = 0
         # the pre-pass drops only arcs that cannot be tight
-        scan = forward
-        if prepass is not None:
-            scan = prepass.tight_arcs(pi, sources, backward) or forward
+        scan = prepass.tight_arcs(pi, sources, backward) if prepass is not None else None
+        if scan is None:
+            if forward is None:
+                forward = [[] for _ in range(n)]
+                for u, entry in zip(tails, entries):
+                    forward[u].append(entry)
+            scan = forward
         deficits = sum(1 for x in excess if x < 0)
         reached: list[int] = []   # deficit nodes in settle order
         last = 0
@@ -426,31 +441,47 @@ class _Simplex:
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular simplex basis: {exc}") from exc
 
+    def _inverse(self) -> np.ndarray:
+        try:
+            return np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular simplex basis: {exc}") from exc
+
     def run(self, c: np.ndarray, allowed: np.ndarray) -> tuple[str, np.ndarray]:
         """Minimize c.x from the current basis; returns (status, xB).
 
         allowed masks the columns that may enter.  Uses Dantzig pricing
         until a degenerate stall, then Bland's rule for termination.
+        One explicit basis inverse serves x_B, the duals and the entering
+        column: it is formed at the start and every REFACTOR pivots, takes
+        a rank-one update per pivot in between, and is formed afresh
+        before a verdict is returned.
         """
         bland = False
         stall = 0
         last_obj = None
+        Binv = self._inverse()
+        pivots = 0   # since Binv was formed
         while True:
             self.iterations += 1
             if self.iterations > MAX_ITERATIONS:
                 raise SolverError("simplex iteration limit exceeded")
-            xB = self._solve_basis(self.b)
-            y = self._solve_basis(c[self.basis], transpose=True)
+            xB = Binv @ self.b
+            y = c[self.basis] @ Binv
             rc = c - y @ self.A
             rc[self.basis] = 0.0
             candidates = np.nonzero(allowed & (rc < -PIVOT_TOL))[0]
-            if candidates.size == 0:
-                return "optimal", xB
-            j = int(candidates[0]) if bland else int(candidates[np.argmin(rc[candidates])])
-            d = self._solve_basis(self.A[:, j])
-            pos = np.nonzero(d > PIVOT_TOL)[0]
-            if pos.size == 0:
-                return "unbounded", xB
+            if candidates.size:
+                j = int(candidates[0]) if bland else int(candidates[np.argmin(rc[candidates])])
+                d = Binv @ self.A[:, j]
+                pos = np.nonzero(d > PIVOT_TOL)[0]
+            if not candidates.size or not pos.size:
+                if pivots:
+                    # recheck the verdict on a fresh inverse, as the same iteration
+                    self.iterations -= 1
+                    Binv, pivots = self._inverse(), 0
+                    continue
+                return ("unbounded" if candidates.size else "optimal"), xB
             safe_xB = np.maximum(xB, 0.0)
             ratios = safe_xB[pos] / d[pos]
             theta = ratios.min()
@@ -466,6 +497,15 @@ class _Simplex:
                 stall = 0
             last_obj = obj
             self.basis[int(leave_row)] = j
+            pivots += 1
+            if pivots == REFACTOR:
+                Binv, pivots = self._inverse(), 0
+            else:
+                # eta update: row leave_row of the new inverse is that row over
+                # the pivot d[leave_row]; every other row loses d[i] times it
+                pivot_row = Binv[leave_row] / d[leave_row]
+                Binv -= np.outer(d, pivot_row)
+                Binv[leave_row] = pivot_row
 
 
 def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:

@@ -846,8 +846,7 @@ def random_lp(rng):
     return LinearProgram(c, A, senses, b, lb=lb, ub=ub, maximize=bool(rng.random() < 0.3))
 
 
-@pytest.mark.parametrize("mode", ["strong", "signed"])
-def test_lp_matches_the_loop_reference_on_synthesis(mode):
+def synthesis_lps(mode):
     rng = np.random.default_rng(211)
     lps = []
     for _ in range(40):
@@ -855,10 +854,10 @@ def test_lp_matches_the_loop_reference_on_synthesis(mode):
         subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
         lps += captured_lps(projections, lambda: synthesize_min_k(space, subset, mode=mode))
     assert len(lps) == 40
-    assert {assert_same_lp(lp) for lp in lps} == {"optimal"}
+    return lps
 
 
-def test_lp_matches_the_loop_reference_on_operator_norm():
+def operator_norm_lps():
     rng = np.random.default_rng(223)
     lps = []
     for k in range(30):
@@ -867,11 +866,80 @@ def test_lp_matches_the_loop_reference_on_operator_norm():
         p = (rand_strong_projection if k % 2 else rand_signed_projection)(rng, subset)
         lps += captured_lps(extension, lambda: operator_norm(p))
     assert len(lps) >= 200
-    assert {assert_same_lp(lp) for lp in lps} == {"optimal"}
+    return lps
+
+
+def random_lps():
+    rng = np.random.default_rng(227)
+    return [random_lp(rng) for _ in range(800)]
+
+
+@pytest.mark.parametrize("mode", ["strong", "signed"])
+def test_lp_matches_the_loop_reference_on_synthesis(mode):
+    assert {assert_same_lp(lp) for lp in synthesis_lps(mode)} == {"optimal"}
+
+
+def test_lp_matches_the_loop_reference_on_operator_norm():
+    assert {assert_same_lp(lp) for lp in operator_norm_lps()} == {"optimal"}
 
 
 def test_lp_matches_the_loop_reference_on_random_programs():
-    rng = np.random.default_rng(227)
-    statuses = [assert_same_lp(random_lp(rng)) for _ in range(800)]
+    statuses = [assert_same_lp(lp) for lp in random_lps()]
     counts = {s: statuses.count(s) for s in set(statuses)}
     assert counts["optimal"] >= 200 and counts["infeasible"] >= 100 and counts["unbounded"] >= 100
+
+
+def certification_scale(lp):
+    """An upper bound on the scale solve_lp certifies against: the largest
+    |c| and the largest right-hand side after shifting and boxing."""
+    shift = np.where(np.isfinite(lp.lb), lp.lb, 0.0)
+    width = (lp.ub - lp.lb)[np.isfinite(lp.ub)]
+    return max(1.0, *np.abs(lp.c), *(np.abs(lp.b) + np.abs(lp.A) @ np.abs(shift)), *width)
+
+
+@pytest.mark.parametrize("lp_set", ["strong", "signed", "operator_norm", "random"])
+def test_the_updated_inverse_matches_fresh_factorisation(lp_set, monkeypatch):
+    """REFACTOR = 1 forms the basis inverse afresh at every pivot."""
+    lps = {"operator_norm": operator_norm_lps, "random": random_lps}.get(
+        lp_set, lambda: synthesis_lps(lp_set))()
+    updated = [_outcome(solve_lp, lp) for lp in lps]
+    monkeypatch.setattr(optim, "REFACTOR", 1)
+    fresh = [_outcome(solve_lp, lp) for lp in lps]
+    for lp, got, want in zip(lps, updated, fresh):
+        assert not isinstance(want, str) and not isinstance(got, str)
+        assert got.status == want.status
+        if want.status == "optimal":
+            bound = 100 * 1e-9 * certification_scale(lp) * (1.0 + abs(want.objective))
+            assert abs(got.objective - want.objective) <= bound
+
+
+def test_the_basis_inverse_is_formed_at_run_start_every_refactor_pivots_and_before_each_verdict(monkeypatch):
+    refactor = 7
+    monkeypatch.setattr(optim, "REFACTOR", refactor)
+    runs = []   # per run: the iteration count at its start, at each inverse, at its verdict
+    real_inv, real_run = np.linalg.inv, optim._Simplex.run
+
+    def inv(B):
+        runs[-1]["inverses"].append(runs[-1]["simplex"].iterations)
+        return real_inv(B)
+
+    def run(self, c, allowed):
+        runs.append({"simplex": self, "start": self.iterations, "inverses": []})
+        status, xB = real_run(self, c, allowed)
+        runs[-1]["verdict"] = self.iterations
+        return status, xB
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(optim._Simplex, "run", run)
+    for lp in synthesis_lps("strong")[:20] + random_lps()[:200]:
+        _outcome(solve_lp, lp)
+    stale = 0
+    for r in runs:
+        # iterations start + 1 .. verdict - 1 each pivot once, and the
+        # verdict is read from an inverse formed after the last pivot
+        scheduled = list(range(r["start"], r["verdict"], refactor))
+        last = r["verdict"] - 1
+        assert r["inverses"] == scheduled + ([last] if scheduled[-1] != last else [])
+        stale += scheduled[-1] != last
+    assert max(r["verdict"] - r["start"] for r in runs) > 3 * refactor
+    assert 0 < stale < len(runs)

@@ -42,6 +42,7 @@ from krext import (
 from krext import projections
 from krext.optim import solve_lp
 from test_metric import three_point
+from test_optim import captured_lps
 
 
 def line_space(*coords: float) -> FiniteMetricSpace:
@@ -717,6 +718,34 @@ def test_synthesized_k_is_the_constant_of_its_projection(mode):
         subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
         res = synthesize_min_k(space, subset, mode=mode)
         assert projection_constant(res.projection) == pytest.approx(res.k_star, rel=1e-9)
+
+
+def highs_lp_value(lp):
+    """Independent oracle: the minimum of a LinearProgram without upper
+    bounds, such as the synthesis LP, by scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    assert not lp.maximize and np.all(lp.ub == np.inf)
+    le = np.array([s == "<=" for s in lp.senses])
+    eq = np.array([s == "==" for s in lp.senses])
+    ge = ~(le | eq)
+    bounds = [(None if lo == -np.inf else lo, None) for lo in lp.lb]
+    res = linprog(lp.c, A_ub=np.vstack([lp.A[le], -lp.A[ge]]), b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
+                  A_eq=lp.A[eq], b_eq=lp.b[eq], bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("mode", ["strong", "signed"])
+def test_synthesized_k_matches_highs_on_its_own_lp(mode):
+    rng = np.random.default_rng(43)
+    for t in range(16):
+        make = rand_space if t % 2 == 0 else rand_repaired_space
+        space = make(rng, int(rng.integers(5, 10)))
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, min(6, space.n))))
+        out = []
+        lps = captured_lps(projections, lambda: out.append(synthesize_min_k(space, subset, mode=mode)))
+        assert len(lps) == 1
+        assert out[0].k_star == pytest.approx(highs_lp_value(lps[0]), rel=1e-8)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(-80, 80), st.sampled_from(["strong", "signed"]))
