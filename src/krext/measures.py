@@ -121,14 +121,13 @@ def total_variation(mu: SignedMeasure, subset=None) -> float:
     the partition into singletons attains it.
     """
     if subset is None:
-        idx = mu.coeff.keys()
-    else:
-        idx = [int(i) for i in subset]
-        for i in idx:
-            if not (0 <= i < mu.space.n):
-                raise ContractError(f"subset index {i} out of range")
-        if len(set(idx)) != len(idx):
-            raise ContractError("subset indices must be distinct")
+        return math.fsum(map(abs, mu.coeff.values()))
+    idx = [int(i) for i in subset]
+    for i in idx:
+        if not (0 <= i < mu.space.n):
+            raise ContractError(f"subset index {i} out of range")
+    if len(set(idx)) != len(idx):
+        raise ContractError("subset indices must be distinct")
     return math.fsum(abs(mu[i]) for i in idx)
 
 

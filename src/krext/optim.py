@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -97,9 +98,9 @@ def _quantize_balanced(values: np.ndarray, shift: int) -> list[int]:
     """Quantize a near-balanced vector so the integer sum is exactly zero."""
     # ldexp is exact, so rint is the sole rounding; the running sums can pass
     # 2**63, so they become Python ints, and the last is set to the exact zero
-    cum = [0] + [int(c) for c in np.rint(np.ldexp(np.cumsum(values), shift)).tolist()]
+    cum = [0, *map(int, np.rint(np.ldexp(values.cumsum(), shift)).tolist())]
     cum[-1] = 0
-    return [cur - prev for prev, cur in zip(cum, cum[1:])]
+    return list(map(operator.sub, cum[1:], cum))
 
 
 @dataclass(frozen=True)
@@ -142,32 +143,39 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     """
     check_tol(tol)
     n = problem.n_nodes
-    if problem.supplies.shape != (n,):
+    supplies, arcs, costs = problem.supplies, problem.arcs, problem.costs
+    if supplies.shape != (n,):
         raise ContractError(f"supplies must have shape ({n},)")
-    if not np.all(np.isfinite(problem.supplies)):
+    size = np.abs(supplies)
+    mass = float(size.sum())
+    # a finite mass means finite supplies; an infinite one may be an overflow
+    if not math.isfinite(mass) and not np.all(np.isfinite(supplies)):
         raise ContractError("supplies must be finite")
-    total = float(np.sum(problem.supplies))
-    mass = float(np.sum(np.abs(problem.supplies)))
+    total = float(supplies.sum())
     if abs(total) > tol * mass:
         raise ContractError(f"unbalanced supplies: net {total:.3e}")
-    arcs, costs = problem.arcs, problem.costs
     if arcs.ndim != 2 or arcs.shape[1] != 2 or costs.shape != arcs.shape[:1]:
         raise ContractError(f"arcs must have shape (m, 2) and costs shape (m,), "
                             f"got {arcs.shape} and {costs.shape}")
-    outside = np.any((arcs < 0) | (arcs >= n), axis=1)
+    largest_cost = float(costs.max(initial=0.0))
     loop = arcs[:, 0] == arcs[:, 1]
-    bad = np.flatnonzero(outside | loop | ~(np.isfinite(costs) & (costs >= 0.0)))
-    if bad.size:
-        u, v = arcs[bad[0]].tolist()
-        if outside[bad[0]]:
-            raise ContractError(f"arc ({u},{v}) out of range")
-        if loop[bad[0]]:
-            raise ContractError(f"self-loop arc at node {u}")
-        raise ContractError(f"arc ({u},{v}) needs a finite nonnegative cost")
+    # one all-good check, where NaN fails every comparison and a negative
+    # node reads as a huge unsigned one; the scan names the first offender
+    if not (arcs.view(np.uint64).max(initial=0) < n and not loop.any()
+            and costs.min(initial=0.0) >= 0.0 and math.isfinite(largest_cost)):
+        outside = np.any((arcs < 0) | (arcs >= n), axis=1)
+        bad = np.flatnonzero(outside | loop | ~(np.isfinite(costs) & (costs >= 0.0)))
+        if bad.size:
+            u, v = arcs[bad[0]].tolist()
+            if outside[bad[0]]:
+                raise ContractError(f"arc ({u},{v}) out of range")
+            if loop[bad[0]]:
+                raise ContractError(f"self-loop arc at node {u}")
+            raise ContractError(f"arc ({u},{v}) needs a finite nonnegative cost")
 
-    supply_shift = _grid_exponent(float(np.max(np.abs(problem.supplies), initial=0.0)))
-    cost_shift = _grid_exponent(float(np.max(costs, initial=0.0)))
-    b = _quantize_balanced(problem.supplies, supply_shift)
+    supply_shift = _grid_exponent(float(size.max(initial=0.0)))
+    cost_shift = _grid_exponent(largest_cost)
+    b = _quantize_balanced(supplies, supply_shift)
     # rint rounds half to even, as round does; int64 holds values below 2**GRID_BITS
     cost_grid = np.rint(np.ldexp(costs, cost_shift)).astype(np.int64)
     cost = cost_grid.tolist()
@@ -261,16 +269,18 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             if augmentations > max_aug:
                 raise SolverError("flow augmentation did not converge")
 
-    # exact certificates on the quantized instance; failure means a bug
-    cost_int = 0
-    for u, v, c, f in zip(tails, heads, cost, flow):
-        reduced = c + pi[u] - pi[v]
-        if reduced < 0:
-            raise SolverError("optimality certificate failed on a residual arc")
-        if f > 0 and reduced > 0:
-            raise SolverError("complementary slackness failed on a flow arc")
-        cost_int += f * c
-    if sum(bi * -p for bi, p in zip(b, pi)) != cost_int:
+    # exact certificates on the quantized instance; failure means a bug.
+    # Flows are nonnegative, so with no reduced cost negative a nonzero
+    # product is a flow arc with slack; the loop names the first bad arc
+    reduced = [c + pi[u] - pi[v] for u, v, c in zip(tails, heads, cost)]
+    if min(reduced, default=0) < 0 or any(map(operator.mul, flow, reduced)):
+        for r, f in zip(reduced, flow):
+            if r < 0:
+                raise SolverError("optimality certificate failed on a residual arc")
+            if f > 0 and r > 0:
+                raise SolverError("complementary slackness failed on a flow arc")
+    cost_int = sum(map(operator.mul, flow, cost))
+    if -sum(map(operator.mul, b, pi)) != cost_int:
         raise SolverError("flow duality gap is nonzero on the quantized instance")
 
     return FlowResult(
@@ -281,13 +291,6 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         phases=phases,
         augmentations=augmentations,
     )
-
-
-def _find(root: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
-    while (r := root[x]) != x:
-        root[x] = x = root[r]
-    return x
 
 
 class _LabelPrepass:
@@ -324,13 +327,18 @@ class _LabelPrepass:
             return None
         n = len(pi)
         # union-find over the flow arcs, the lower root on top, so that one
-        # ascending pass points every node at its component's least node
+        # ascending pass points every node at its component's least node;
+        # each find halves its path on the way up
         root = list(range(n))
         for w, arcs_in in enumerate(backward):
             if arcs_in:
-                top = _find(root, w)
+                top = w
+                while (up := root[top]) != top:
+                    root[top] = top = root[up]
                 for u, _, _ in arcs_in.values():
-                    r = _find(root, u)
+                    r = u
+                    while (up := root[r]) != r:
+                        root[r] = r = root[up]
                     if r < top:
                         root[top] = top = r
                     elif r > top:

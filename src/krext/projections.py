@@ -370,6 +370,8 @@ def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
 
 def uniform_discrete_bound(space: FiniteMetricSpace, subset: Subspace, eps: float) -> float:
     """The 2*max(D, eps)/eps guarantee for the two-atom construction."""
+    if subset.parent != space:
+        raise ContractError("subset belongs to a different space")
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError("eps must be a positive real")
     members = list(subset.members)

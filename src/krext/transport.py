@@ -16,6 +16,13 @@ formula, which is 1-Lipschitz on a metric.  The certificate rechecks
 every pair of the whole space; on a space that breaks the triangle
 inequality a failed certificate is reported as a ContractError naming
 the triangle.
+
+Cost per call on an n-point space whose measure has support k: the
+interpreted work (supplies, the flow problem and its solve, the plan,
+the marginals) grows with k and the at most k^2/4 arcs, next to a few
+O(n) vector operations; two array passes grow faster with n: the
+c-transform, O(n * sinks), and the certificate's recheck of every
+pair, O(n^2).
 """
 
 from __future__ import annotations
@@ -66,25 +73,29 @@ def _transport(space: FiniteMetricSpace, supplies: np.ndarray,
     basepoint.
     """
     # the largest supply comes last, where _quantize_balanced puts the
-    # rounding of its running sums, so no point changes sides
-    order = np.argsort(np.abs(supplies), kind="stable")
-    nodes = order[supplies[order] != 0.0]
+    # rounding of its running sums, so no point changes sides; ties keep
+    # index order, as a stable sort over every point would have them
+    support = supplies.nonzero()[0]
+    nodes = support[np.argsort(np.abs(supplies[support]), kind="stable")]
     node_supplies = supplies[nodes]
-    sources, sinks = np.flatnonzero(node_supplies > 0.0), np.flatnonzero(node_supplies < 0.0)
-    tails = np.repeat(sources, sinks.size)
-    heads = np.tile(sinks, sources.size)
+    sources, sinks = (node_supplies > 0.0).nonzero()[0], (node_supplies < 0.0).nonzero()[0]
+    # source-major: arc k runs from sources[k // |sinks|] to sinks[k % |sinks|]
+    arcs = np.empty((sources.size, sinks.size, 2), dtype=np.int64)
+    arcs[:, :, 0] = sources[:, None]
+    arcs[:, :, 1] = sinks
+    arcs = arcs.reshape(-1, 2)
+    tails, heads = arcs.T
     d = space.dist
     costs = d[nodes[tails], nodes[heads]]
-    res = solve_flow(FlowProblem(len(nodes), node_supplies, np.column_stack([tails, heads]), costs),
-                     tol=tol)
+    res = solve_flow(FlowProblem(len(nodes), node_supplies, arcs, costs), tol=tol)
 
-    used = np.flatnonzero(res.flow > 0.0)
+    used = (res.flow > 0.0).nonzero()[0]
     plan = dict(zip(zip(nodes[tails[used]].tolist(), nodes[heads[used]].tolist()),
                     res.flow[used].tolist()))
-    g = np.zeros(space.n)
-    if sinks.size:
-        g = np.min(res.potentials[sinks] + d[:, nodes[sinks]], axis=1)
-        g -= g[space.basepoint]
+    if not sinks.size:
+        return res.cost, plan, np.zeros(space.n)
+    g = (res.potentials[sinks] + d[:, nodes[sinks]]).min(axis=1)
+    g -= g[space.basepoint]
     return res.cost, plan, g
 
 
@@ -111,12 +122,13 @@ def w1(mu: SignedMeasure, eta: SignedMeasure, tol: float = 1e-9) -> TransportRes
     # the mass check allows a drift up to tol; the largest entry takes it
     # before the sides are read off, so every source keeps a sink to feed
     supplies = diff.copy()
-    supplies[np.argmax(np.abs(diff))] -= math.fsum(diff)
+    supplies[np.abs(diff).argmax()] -= math.fsum(diff.tolist())
     value, plan, g = _transport(space, supplies, tol)
-    stay = np.minimum(mu.as_vector(), eta.as_vector())
-    plan.update({(int(i), int(i)): float(stay[i]) for i in np.flatnonzero(stay > 0.0)})
+    # mass both measures hold stays put; their coefficients are positive
+    shared = eta.coeff
+    plan.update({(i, i): min(c, shared[i]) for i, c in mu.coeff.items() if i in shared})
 
-    dual = math.fsum(diff * g)
+    dual = math.fsum((diff * g).tolist())
     out = TransportResult("w1", space, value, plan, g, abs(value - dual), mu, eta)
     _certify(out, tol)
     return out
@@ -133,12 +145,12 @@ def kr_norm(mu: SignedMeasure, tol: float = 1e-9) -> TransportResult:
     """
     check_tol(tol)
     space = mu.space
-    n = space.n
     bp = space.basepoint
-    supplies = mu.as_vector()
-    supplies[bp] = -math.fsum(float(supplies[i]) for i in range(n) if i != bp)
+    coeff = mu.as_vector()
+    supplies = coeff.copy()
+    supplies[bp] = -math.fsum(c for i, c in mu.coeff.items() if i != bp)
     value, plan, g = _transport(space, supplies, tol)
-    dual = math.fsum(mu.as_vector() * g)
+    dual = math.fsum((coeff * g).tolist())
     out = TransportResult("kr", space, value, plan, g, abs(value - dual), mu, None)
     _certify(out, tol)
     return out
@@ -176,11 +188,12 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
 
     if abs(float(g[space.basepoint])) > tol_d:
         return False, f"potential at the basepoint is {float(g[space.basepoint]):.3e}, not 0"
-    excess = (g[:, None] - g[None, :]) - d
+    excess = np.subtract.outer(g, g)
+    excess -= d
     np.fill_diagonal(excess, -np.inf)
-    stretched = np.argwhere(excess > tol_d)  # row-major order
-    if stretched.size:
-        i, j = stretched[0]
+    stretched = excess > tol_d
+    if stretched.any():
+        i, j = np.argwhere(stretched)[0]   # row-major order
         a, bl = space.labels[i], space.labels[j]
         return False, (
             f"potential stretches pair ({a!r}, {bl!r}) by {excess[i, j]:.3e} beyond their distance"
@@ -189,17 +202,20 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     keys = list(result.plan)
     ij = np.array(keys, dtype=np.int64).reshape(-1, 2)
     fv = np.array(list(result.plan.values()), dtype=float)
-    outside = ~np.all((ij >= 0) & (ij < n), axis=1)
-    broken = np.flatnonzero(outside | (fv < -tol_m))
-    if broken.size:
-        k = int(broken[0])
-        i, j = keys[k]
-        if outside[k]:
-            return False, f"plan entry ({i}, {j}) indexes outside the space"
-        return False, f"plan entry ({i}, {j}) is negative: {fv[k]:.3e}"
+    # one all-good check, where NaN fails every comparison and a negative
+    # index reads as a huge unsigned one; the scan names the first offender
+    if not (ij.view(np.uint64).max(initial=0) < n and fv.min(initial=0.0) >= -tol_m):
+        outside = ~np.all((ij >= 0) & (ij < n), axis=1)
+        broken = np.flatnonzero(outside | (fv < -tol_m))
+        if broken.size:
+            k = int(broken[0])
+            i, j = keys[k]
+            if outside[k]:
+                return False, f"plan entry ({i}, {j}) indexes outside the space"
+            return False, f"plan entry ({i}, {j}) is negative: {fv[k]:.3e}"
     src, dst = ij[:, 0], ij[:, 1]
 
-    plan_cost = math.fsum(fv * d[src, dst])
+    plan_cost = math.fsum((fv * d[src, dst]).tolist())
     tol_c = tol * max(abs(result.value), mass * diam)
     if abs(plan_cost - result.value) > tol_c:
         return False, (
@@ -210,26 +226,29 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     if result.kind == "w1":
         if result.eta is None:
             return False, "a w1 result must carry both measures"
+        eta = result.eta.as_vector()
         row = np.bincount(src, weights=fv, minlength=n)
         col = np.bincount(dst, weights=fv, minlength=n)
         bad_row = np.abs(row - coeff) > tol_m
-        bad_col = np.abs(col - result.eta.as_vector()) > tol_m
-        missed = np.flatnonzero(bad_row | bad_col)
+        bad_col = np.abs(col - eta) > tol_m
+        missed = (bad_row | bad_col).nonzero()[0]
         if missed.size:
             i = int(missed[0])
             if bad_row[i]:
                 return False, f"plan row {i} sums to {float(row[i])!r}, expected mu = {result.mu[i]!r}"
             return False, f"plan column {i} sums to {float(col[i])!r}, expected eta = {result.eta[i]!r}"
     else:
-        # out-flow minus in-flow per node, each an exactly rounded sum
-        terms: list[list[float]] = [[] for _ in range(n)]
+        # out-flow minus in-flow per node, each an exactly rounded sum;
+        # a node the plan does not touch has divergence 0.0
+        terms: dict[int, list[float]] = {}
         for (a, b), m in result.plan.items():
-            terms[a].append(m)
-            terms[b].append(0.0 - m)
-        div = np.array([math.fsum(t) for t in terms])
+            terms.setdefault(a, []).append(m)
+            terms.setdefault(b, []).append(0.0 - m)
+        div = np.zeros(n)
+        div[list(terms)] = [math.fsum(t) for t in terms.values()]
         off = np.abs(div - coeff) > tol_m
         off[space.basepoint] = False
-        missed = np.flatnonzero(off)
+        missed = off.nonzero()[0]
         if missed.size:
             i = int(missed[0])
             return False, (
@@ -238,8 +257,8 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
             )
 
     if result.kind == "w1":
-        coeff = coeff - result.eta.as_vector()
-    dual = math.fsum(coeff * g)
+        coeff = coeff - eta
+    dual = math.fsum((coeff * g).tolist())
     if abs(dual - result.value) > tol_c:
         return False, f"duality gap {abs(dual - result.value):.3e} exceeds tolerance"
     return True, "ok"

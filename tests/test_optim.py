@@ -477,10 +477,31 @@ def test_flow_rejects_mismatched_arc_and_cost_shapes(arcs, costs):
     (((0, 1, -1.0), (0, 3, 1.0)), r"arc \(0,1\) needs a finite nonnegative cost"),
     (((0, 1, 1.0), (1, 0, math.nan), (0, -1, 1.0)), r"arc \(1,0\) needs a finite"),
     (((1, 0, math.inf),), r"arc \(1,0\) needs a finite"),
+    (((0, 1, 1.0), (1, 0, -math.inf)), r"arc \(1,0\) needs a finite"),
+    (((0, 1, 1.0), (1, 3, 1.0)), r"arc \(1,3\) out of range"),
+    (((0, 1, 1.0), (-1, 2, 1.0)), r"arc \(-1,2\) out of range"),
+    (((0, 1, 1.0), (2, 2, 0.5)), "self-loop arc at node 2"),
+    (((0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0), (0, 2, 0.0), (1, 1, 1.0), (0, 5, 1.0),
+      (2, 1, -1.0)), "self-loop arc at node 1"),
+    (((0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0), (0, 2, math.nan), (1, 1, 1.0), (3, 0, 1.0)),
+     r"arc \(0,2\) needs a finite"),
 ])
 def test_flow_names_the_first_offending_arc(triples, message):
     with pytest.raises(ContractError, match=message):
         solve_flow(flow_problem(3, np.array([1.0, -1.0, 0.0]), triples))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_flow_rejects_non_finite_supplies(bad):
+    with pytest.raises(ContractError, match="supplies must be finite"):
+        solve_flow(flow_problem(3, np.array([1.0, bad, -1.0]), ((0, 2, 1.0),)))
+
+
+def test_flow_accepts_finite_supplies_whose_total_mass_overflows():
+    # |supplies| sums to inf, yet every supply is finite and they balance
+    with np.errstate(over="ignore"):
+        res = solve_flow(flow_problem(2, np.array([1.5e308, -1.5e308]), ((0, 1, 0.5),)))
+    assert res.cost == 0.75e308
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,21 @@ def test_udp_bound_formula_and_tightness():
     assert pc == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("construction", ["bound", "projection"])
+def test_udp_rejects_a_subset_of_another_space(construction):
+    # same labels, other distances: read on the wrong space the bound is
+    # 2 * max(2, 1) / 1 = 4, against 18 on the subset's own space
+    near = FiniteMetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    far = FiniteMetricSpace(("a", "b", "c"), [[0, 5, 9], [5, 0, 5], [9, 5, 0]])
+    sub = Subspace(far, (0, 2))
+    assert uniform_discrete_bound(far, sub, eps=1.0) == 18.0
+    with pytest.raises(ContractError, match="subset belongs to a different space"):
+        if construction == "bound":
+            uniform_discrete_bound(near, sub, eps=1.0)
+        else:
+            uniform_discrete_projection(near, sub, eps=1.0, t0=0)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_udp_respects_bound_on_lines_and_grids(seed):

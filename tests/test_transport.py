@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import rand_measure, rand_repaired_space, rand_space
 import krext.transport as transport
 from krext import ContractError, FiniteMetricSpace, SignedMeasure, kr_norm, verify_duality, w1
-from krext.optim import LinearProgram, solve_lp
+from krext.optim import FlowProblem, LinearProgram, solve_lp
 from test_metric import three_point
 
 
@@ -396,6 +396,89 @@ def test_non_metric_space_is_a_contract_error():
         kr_norm(a - c)
     with pytest.raises(ContractError, match="triangle"):
         w1(a, c)
+
+
+# ---------------------------------------------------------------------------
+# the assembly around the flow solve
+
+
+def transport_loops(mu: SignedMeasure, eta: SignedMeasure | None = None, tol: float = 1e-9):
+    """Reference kr_norm (eta None) or w1 written as loops around solve_flow.
+
+    Returns (value, plan, potentials, gap) as the library assembles them:
+    the supplies, the support ordered by |supply| with ties in index
+    order, one arc from each source to each sink, the plan in arc order
+    and then the diagonal, and the c-transform shifted to vanish at the
+    basepoint.
+    """
+    space = mu.space
+    n, bp, d = space.n, space.basepoint, space.dist
+    if eta is None:
+        coeff = [mu[i] for i in range(n)]
+        supplies = list(coeff)
+        supplies[bp] = -math.fsum(supplies[i] for i in range(n) if i != bp)
+    else:
+        coeff = [mu[i] - eta[i] for i in range(n)]
+        supplies = list(coeff)
+        supplies[max(range(n), key=lambda i: abs(coeff[i]))] -= math.fsum(coeff)
+    nodes = sorted((i for i in range(n) if supplies[i] != 0.0), key=lambda i: abs(supplies[i]))
+    sources = [k for k, i in enumerate(nodes) if supplies[i] > 0.0]
+    sinks = [k for k, i in enumerate(nodes) if supplies[i] < 0.0]
+    arcs = [(s, t) for s in sources for t in sinks]
+    res = transport.solve_flow(FlowProblem(
+        len(nodes), np.array([supplies[i] for i in nodes]),
+        np.array(arcs, dtype=np.int64).reshape(-1, 2),
+        np.array([d[nodes[s], nodes[t]] for s, t in arcs])), tol=tol)
+    plan = {}
+    for (s, t), f in zip(arcs, res.flow.tolist()):
+        if f > 0.0:
+            plan[(nodes[s], nodes[t])] = f
+    if eta is not None:
+        for i in range(n):
+            if min(mu[i], eta[i]) > 0.0:
+                plan[(i, i)] = min(mu[i], eta[i])
+    g = [0.0] * n
+    if sinks:
+        g = [min(float(res.potentials[t]) + float(d[x, nodes[t]]) for t in sinks) for x in range(n)]
+        g = [v - g[bp] for v in g]
+    dual = math.fsum(c * v for c, v in zip(coeff, g))
+    return res.cost, plan, np.array(g), abs(res.cost - dual)
+
+
+@pytest.mark.parametrize("kind", ["kr", "w1"])
+def test_transport_matches_the_loop_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(71 if kind == "kr" else 72)
+    scales = (1.0, 2.0 ** 37, 2.0 ** -41, 1e8, 1e-8)
+    cases = 0
+    for n in (8, 20, 40, 100):
+        for make in (rand_space, rand_repaired_space):
+            for sparse in (False, True):
+                space = make(rng, n)
+                space = scaled(space, scales[cases % len(scales)])
+                mass = scales[(cases + 2) % len(scales)]
+                size = max(2, n // 8) if sparse else n
+                # integer weights on full supports, so that many |supplies| tie
+                w = (rng.integers(1, 4, size=(2, size)).astype(float) if not sparse
+                     else rng.uniform(0.05, 1.0, size=(2, size)))
+                if kind == "kr":
+                    w[0] *= rng.choice([-1.0, 1.0], size=size)
+                    support = rng.choice(n, size=size, replace=False).tolist()
+                    mu = SignedMeasure(space, dict(zip(support, (mass * w[0]).tolist())))
+                    res, ref = kr_norm(mu), transport_loops(mu)
+                else:
+                    mu, eta = (SignedMeasure(space, dict(zip(
+                        rng.choice(n, size=size, replace=False).tolist(),
+                        (mass * r / r.sum()).tolist()))) for r in w)
+                    res, ref = w1(mu, eta), transport_loops(mu, eta)
+                value, plan, g, gap = ref
+                assert res.value.hex() == value.hex()
+                assert res.gap.hex() == gap.hex()
+                assert res.potentials.dtype == g.dtype and res.potentials.tobytes() == g.tobytes()
+                assert list(res.plan.items()) == list(plan.items())
+                assert all(type(i) is int and type(j) is int and type(m) is float
+                           for (i, j), m in res.plan.items())
+                cases += 1
+    assert cases == 16
 
 
 # ---------------------------------------------------------------------------
