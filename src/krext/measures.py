@@ -84,7 +84,7 @@ class SignedMeasure:
     # -- linear structure ----------------------------------------------
 
     def _check_same_space(self, other: "SignedMeasure") -> None:
-        if self.space is not other.space and self.space != other.space:
+        if self.space != other.space:
             raise ContractError("measures live on different spaces")
 
     def __add__(self, other: "SignedMeasure") -> "SignedMeasure":

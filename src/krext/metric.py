@@ -75,6 +75,8 @@ class FiniteMetricSpace:
         return float(self.dist.max())
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteMetricSpace):
             return NotImplemented
         return (

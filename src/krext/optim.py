@@ -17,6 +17,15 @@ forward, always open, and backward only while the arc carries flow.
 All arithmetic is on integers, so the optimum of the quantized
 instance is exact and the duality gap identically zero.
 
+What a phase costs: one heap pop per entry, one step per arc that a
+settled node scans (its forward list, then its backward arcs only when
+it has flow in) and one heap entry per label that drops.  The active
+sources and the deficit count carry over from phase to phase, so a
+phase makes no pass over all nodes beyond building the label and
+tree-arc vectors and raising the potentials; on dense problems the
+pre-pass below adds its array work and one interpreted step per node,
+per flow arc and per arc it keeps.
+
 On dense problems, with at least DENSE_ARCS_PER_NODE arcs per node, a
 phase first computes every node's exact label with array code and hands
 the heap loop only the forward arcs that lie on a shortest path.  An
@@ -26,13 +35,16 @@ Bellman-Ford rounds between components, about three at n = 100.  The
 heap loop is the same one, and over any arc set that holds every tight
 arc it settles the same nodes in the same order, picks the same tree
 arcs and raises the same potentials, so results are bit for bit those
-of a full scan.  The gate is an input property: the pre-pass costs
-some 45 numpy calls per phase, which a sparse problem's heap loop never
-wins back.  Labels are int64 and saturate at 2**61, and every arc into
-a saturated node is kept; a phase whose potentials exceed 2**61 scans
-every arc.  Transport problems never get there, since their sources
-keep potential 0 and each sink has an arc from every source, so labels
-and potentials stay below the largest cost, 2**60 on the grid.
+of a full scan.  The order of a node's list matters only between
+parallel arcs, where the first to offer a label keeps it: the heap
+holds distinct (label, node) pairs, so it pops them in one order
+whatever order they were pushed in.  The gate is an input property: the
+pre-pass costs some 45 numpy calls per phase, which a sparse problem's
+heap loop never wins back.  Labels are int64 and saturate at 2**61, and
+every arc into a saturated node is kept; a phase whose potentials exceed
+2**61 scans every arc.  Transport problems never get there, since their
+sources keep potential 0 and each sink has an arc from every source, so
+labels and potentials stay below the largest cost, 2**60 on the grid.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
@@ -54,7 +66,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 
 import numpy as np
 
@@ -96,9 +108,13 @@ def _grid_exponent(largest: float) -> int:
 
 def _quantize_balanced(values: np.ndarray, shift: int) -> list[int]:
     """Quantize a near-balanced vector so the integer sum is exactly zero."""
+    running = values.cumsum()
+    # a running sum that overflows stays infinite or NaN to the end
+    if running.size and not math.isfinite(running[-1]):
+        raise ContractError("supplies overflow: a running sum of them is not a finite float")
     # ldexp is exact, so rint is the sole rounding; the running sums can pass
     # 2**63, so they become Python ints, and the last is set to the exact zero
-    cum = [0, *map(int, np.rint(np.ldexp(values.cumsum(), shift)).tolist())]
+    cum = [0, *map(int, np.rint(np.ldexp(running, shift)).tolist())]
     cum[-1] = 0
     return list(map(operator.sub, cum[1:], cum))
 
@@ -185,15 +201,16 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     # k is always open forward, and backward (~k) only while it carries flow;
     # the lists of every forward arc are built on first need, since dense
     # phases scan the pre-pass's lists instead
-    entries = list(zip(heads, cost, range(len(cost))))
     forward: list[list[tuple[int, int, int]]] | None = None
     backward: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
     dense = n > 0 and len(cost) >= DENSE_ARCS_PER_NODE * n
-    prepass = _LabelPrepass(arcs, cost_grid, entries) if dense else None
+    prepass = _LabelPrepass(arcs, cost_grid) if dense else None
     flow = [0] * len(cost)
 
     excess = list(b)
     total_excess = sum(x for x in b if x > 0)
+    sources = [s for s in range(n) if b[s] > 0]
+    deficits = sum(1 for x in b if x < 0)   # a node never becomes a deficit again
     pi = [0] * n                  # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0
     phases = augmentations = 0
     max_aug = 4 * (n + len(cost)) + 16
@@ -203,7 +220,7 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         phases += 1
         dist: list[float] = [math.inf] * n
         via: list[int | None] = [None] * n   # tree arc into each node
-        sources = [s for s in range(n) if excess[s] > 0]
+        sources = [s for s in sources if excess[s] > 0]
         pq = [(0, s) for s in sources]   # sorted, so a heap
         for s in sources:
             dist[s] = 0
@@ -212,10 +229,9 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         if scan is None:
             if forward is None:
                 forward = [[] for _ in range(n)]
-                for u, entry in zip(tails, entries):
+                for u, entry in zip(tails, zip(heads, cost, range(len(cost)))):
                     forward[u].append(entry)
             scan = forward
-        deficits = sum(1 for x in excess if x < 0)
         reached: list[int] = []   # deficit nodes in settle order
         last = 0
         while pq:
@@ -230,12 +246,20 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                 if len(reached) == deficits:
                     break
             base = dv + pi[v]
-            for w, c, e in chain(scan[v], backward[v].values()):
+            for w, c, e in scan[v]:
                 nd = base + c - pi[w]
                 if nd < dist[w]:
                     dist[w] = nd
                     via[w] = e
                     heappush(pq, (nd, w))
+            # in a transport problem a node has forward or backward arcs, not both
+            if arcs_in := backward[v]:
+                for w, c, e in arcs_in.values():
+                    nd = base + c - pi[w]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        via[w] = e
+                        heappush(pq, (nd, w))
         if not reached:
             raise ContractError("flow problem is infeasible: a deficit node is unreachable")
         # settled nodes move by their distance, the rest by the last one,
@@ -248,45 +272,63 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             v = t
             while (e := via[v]) is not None:
                 path.append(e)
-                if e < 0:
-                    amount = min(amount, flow[~e])
-                v = tails[e] if e >= 0 else heads[~e]
-            amount = min(amount, excess[v])
+                if e >= 0:
+                    v = tails[e]
+                else:
+                    v = heads[~e]
+                    if flow[~e] < amount:
+                        amount = flow[~e]
+            if excess[v] < amount:
+                amount = excess[v]
             if amount <= 0:
                 continue
-            # arc k enters backward[head] as its flow leaves 0, and exits as it returns
+            # an arc enters backward[head] as its flow leaves 0, and exits as it returns
             for e in path:
-                k = e if e >= 0 else ~e
-                if not flow[k]:
-                    backward[heads[k]][k] = (tails[k], -cost[k], ~k)
-                flow[k] += amount if e >= 0 else -amount
-                if not flow[k]:
-                    del backward[heads[k]][k]
+                if e >= 0:
+                    if not flow[e]:
+                        backward[heads[e]][e] = (tails[e], -cost[e], ~e)
+                    flow[e] += amount
+                else:
+                    flow[~e] -= amount
+                    if not flow[~e]:
+                        del backward[heads[~e]][~e]
             excess[v] -= amount
             excess[t] += amount
+            if not excess[t]:
+                deficits -= 1
             total_excess -= amount
             augmentations += 1
             if augmentations > max_aug:
                 raise SolverError("flow augmentation did not converge")
 
-    # exact certificates on the quantized instance; failure means a bug.
-    # Flows are nonnegative, so with no reduced cost negative a nonzero
-    # product is a flow arc with slack; the loop names the first bad arc
+    # exact certificates on the quantized instance; failure means a bug:
+    # no reduced cost is negative and every flow arc has reduced cost zero.
+    # Only flow arcs enter the slackness test and the cost; the loop names
+    # the first bad arc
+    support = list(compress(range(len(flow)), flow))   # the arcs carrying flow
     reduced = [c + pi[u] - pi[v] for u, v, c in zip(tails, heads, cost)]
-    if min(reduced, default=0) < 0 or any(map(operator.mul, flow, reduced)):
+    if min(reduced, default=0) < 0 or any(reduced[k] for k in support):
         for r, f in zip(reduced, flow):
             if r < 0:
                 raise SolverError("optimality certificate failed on a residual arc")
             if f > 0 and r > 0:
                 raise SolverError("complementary slackness failed on a flow arc")
-    cost_int = sum(map(operator.mul, flow, cost))
+    cost_int = sum(flow[k] * cost[k] for k in support)
     if -sum(map(operator.mul, b, pi)) != cost_int:
         raise SolverError("flow duality gap is nonzero on the quantized instance")
 
+    flow_out = np.zeros(len(flow))
+    flow_out[support] = np.ldexp(np.array([flow[k] for k in support], dtype=float), -supply_shift)
+    try:
+        potentials = np.array([math.ldexp(-p, -cost_shift) for p in pi])
+        optimum = math.ldexp(cost_int, -supply_shift - cost_shift)
+    except OverflowError:
+        raise ContractError("flow cost overflows: the optimum or a potential "
+                            "is not a finite float") from None
     return FlowResult(
-        flow=np.ldexp(np.array(flow, dtype=float), -supply_shift),
-        potentials=np.array([math.ldexp(-p, -cost_shift) for p in pi]),
-        cost=math.ldexp(cost_int, -supply_shift - cost_shift),
+        flow=flow_out,
+        potentials=potentials,
+        cost=optimum,
         flow_int=tuple(flow),
         phases=phases,
         augmentations=augmentations,
@@ -297,24 +339,23 @@ class _LabelPrepass:
     """Exact phase labels with array code, for dense solve_flow instances.
 
     Each phase it returns every node's forward arcs that can be tight,
-    label[u] + rc(u, w) == label[w]; the module docstring says why a heap
-    loop over only those gives the same results.  Components of the flow
-    support share one label, so the Bellman-Ford rounds run on contracted
-    arcs, and backward arcs, which lie inside a component, are always
-    scanned.  Labels saturate at _LABEL_CAP: a label below it is exact,
-    and every arc into a saturated (or unreached) node is kept.  When a
-    potential exceeds _LABEL_CAP it returns None and the phase scans
-    every arc.
+    label[u] + rc(u, w) == label[w], in stable head order; the module
+    docstring says why a heap loop over only those gives the same results.
+    Components of the flow support share one label, so the Bellman-Ford
+    rounds run on contracted arcs, and backward arcs, which lie inside a
+    component, are always scanned.  Labels saturate at _LABEL_CAP: a label
+    below it is exact, and every arc into a saturated (or unreached) node
+    is kept.  When a potential exceeds _LABEL_CAP it returns None and the
+    phase scans every arc.
     """
 
-    def __init__(self, arcs: np.ndarray, cost: np.ndarray, entries: list[tuple[int, int, int]]):
-        self.arc_tails = arcs[:, 0]
-        self.entries = entries
+    def __init__(self, arcs: np.ndarray, cost: np.ndarray):
         # the arcs in stable head order, so that one reduceat per round
-        # finds the least offer into each head
-        self.order = np.argsort(arcs[:, 1], kind="stable")
-        self.tails, self.heads = arcs[self.order].T
-        self.cost = cost[self.order]
+        # finds the least offer into each head, with their residual entries
+        order = np.argsort(arcs[:, 1], kind="stable")
+        self.tails, self.heads = arcs[order].T
+        self.cost = cost[order]
+        self.entries = list(zip(self.heads.tolist(), self.cost.tolist(), order.tolist()))
         self.starts = np.flatnonzero(np.concatenate([[True], self.heads[1:] != self.heads[:-1]]))
         self.run_heads = self.heads[self.starts]
 
@@ -363,12 +404,11 @@ class _LabelPrepass:
             np.minimum.at(label, run_comp, best)
 
         # tight under saturation, so every arc into a saturated node is kept
-        tight = np.minimum(offer, _LABEL_CAP) == node[self.heads]
-        keep = np.sort(self.order[tight])   # in arc order, as the full scan has them
+        kept = np.flatnonzero(np.minimum(offer, _LABEL_CAP) == node[self.heads])
         scan: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         entries = self.entries
-        for u, k in zip(self.arc_tails[keep].tolist(), keep.tolist()):
-            scan[u].append(entries[k])
+        for u, i in zip(self.tails[kept].tolist(), kept.tolist()):
+            scan[u].append(entries[i])
         return scan
 
 

@@ -106,7 +106,7 @@ def w1(mu: SignedMeasure, eta: SignedMeasure, tol: float = 1e-9) -> TransportRes
     moves from points where mu exceeds eta to points where eta exceeds mu.
     """
     check_tol(tol)
-    if mu.space is not eta.space and mu.space != eta.space:
+    if mu.space != eta.space:
         raise ContractError("measures live on different spaces")
     if not mu.is_nonnegative() or not eta.is_nonnegative():
         raise ContractError(
@@ -168,9 +168,10 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
     """Recheck a transport result from scratch.
 
     Returns (True, "ok") or (False, reason); the reason names the first
-    broken condition: a potential pair that stretches farther than the
-    distance, a nonzero basepoint value, a negative or misaligned plan,
-    marginals that miss the measures, or a primal/dual value mismatch.
+    broken condition: a value, gap, potential or plan mass that is not
+    finite, a potential pair that stretches farther than the distance, a
+    nonzero basepoint value, a negative or misaligned plan, marginals
+    that miss the measures, or a primal/dual value mismatch.
     """
     check_tol(tol)
     space = result.space
@@ -185,6 +186,18 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
         mass = max(mass, total_variation(result.eta))
     tol_d = tol * diam
     tol_m = tol * mass
+    keys = list(result.plan)
+    fv = np.array(list(result.plan.values()), dtype=float)
+
+    # NaN fails every comparison below, so non-finite numbers are refused first
+    if not (math.isfinite(result.value) and math.isfinite(result.gap)):
+        return False, f"value {result.value!r} or gap {result.gap!r} is not finite"
+    if not np.isfinite(g).all():
+        i = int(np.isfinite(g).argmin())
+        return False, f"potential at {space.labels[i]!r} is {float(g[i])!r}, not finite"
+    if not np.isfinite(fv).all():
+        k = int(np.isfinite(fv).argmin())
+        return False, f"plan entry {keys[k]} is {float(fv[k])!r}, not finite"
 
     if abs(float(g[space.basepoint])) > tol_d:
         return False, f"potential at the basepoint is {float(g[space.basepoint]):.3e}, not 0"
@@ -199,11 +212,9 @@ def verify_duality(result: TransportResult, tol: float = 1e-9) -> tuple[bool, st
             f"potential stretches pair ({a!r}, {bl!r}) by {excess[i, j]:.3e} beyond their distance"
         )
 
-    keys = list(result.plan)
     ij = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    fv = np.array(list(result.plan.values()), dtype=float)
-    # one all-good check, where NaN fails every comparison and a negative
-    # index reads as a huge unsigned one; the scan names the first offender
+    # one all-good check, where a negative index reads as a huge unsigned
+    # one; the scan names the first offender
     if not (ij.view(np.uint64).max(initial=0) < n and fv.min(initial=0.0) >= -tol_m):
         outside = ~np.all((ij >= 0) & (ij < n), axis=1)
         broken = np.flatnonzero(outside | (fv < -tol_m))

@@ -426,6 +426,27 @@ def test_flow_matches_the_paired_edge_reference_on_complete_digraphs(kind, monke
         assert prepass[before:] == [True] * (res.phases if i == 25 else 0)
 
 
+def test_flow_keeps_the_first_of_parallel_arcs_on_the_dense_path(monkeypatch):
+    # a complete digraph with a quarter of its arcs doubled, in shuffled arc
+    # order: the pre-pass lists arcs by head, and between parallel arcs of
+    # equal cost the one first in arc order must win, as in a full scan
+    prepass = count_prepass_phases(monkeypatch)
+    rng = np.random.default_rng(66)
+    n = 24
+    u, v = np.nonzero(~np.eye(n, dtype=bool))
+    costs = rng.uniform(0.0, 3.0, u.size)
+    twin = rng.choice(u.size, size=u.size // 4, replace=False)
+    u, v, costs = (np.concatenate([x, x[twin]]) for x in (u, v, costs))
+    shuffle = rng.permutation(u.size)
+    supplies = rng.uniform(-2, 2, size=n)
+    supplies[-1] -= supplies.sum()
+    problem = FlowProblem(n, supplies, np.column_stack([u, v])[shuffle], costs[shuffle])
+    res = assert_same_flow(problem, exact_path=True)
+    assert prepass == [True] * res.phases
+    doubled = np.isin(shuffle, twin) | (shuffle >= n * (n - 1))
+    assert any(res.flow_int[k] for k in np.flatnonzero(doubled))
+
+
 def test_flow_keeps_exact_paths_when_labels_outgrow_the_int64_headroom(monkeypatch):
     # a circulant digraph, each node with arcs to its next 17: dense but not
     # complete, so mass crosses it in up to 10 hops and the shortest-path
@@ -502,6 +523,26 @@ def test_flow_accepts_finite_supplies_whose_total_mass_overflows():
     with np.errstate(over="ignore"):
         res = solve_flow(flow_problem(2, np.array([1.5e308, -1.5e308]), ((0, 1, 0.5),)))
     assert res.cost == 0.75e308
+
+
+def test_flow_names_supplies_whose_running_sums_overflow():
+    # each supply is finite, but 1e308 + 1e308 is not
+    problem = flow_problem(4, np.array([1e308, 1e308, -1e308, -1e308]), ((0, 2, 1.0), (1, 3, 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ContractError, match="supplies overflow"):
+        solve_flow(problem)
+
+
+@pytest.mark.parametrize("supplies, triples", [
+    # the optimum, 2 * 2e308, is not a float
+    ([1e308, -1e308, 1e308, -1e308], ((0, 1, 2.0), (2, 3, 2.0))),
+    # the cost, 3e8, is, but node 3's potential, -3e308, is not
+    ([1e-300, 0.0, 0.0, -1e-300], ((0, 1, 1e308), (1, 2, 1e308), (2, 3, 1e308))),
+])
+def test_flow_names_a_cost_or_potential_that_overflows(supplies, triples):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ContractError, match="flow cost overflows"):
+        solve_flow(flow_problem(4, np.array(supplies), triples))
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,23 @@ def test_gentle_partition_member_columns_zero_or_pushforward():
         GentlePartition(sub, weights, psi, (0, 1))
 
 
+def test_building_a_projection_on_one_space_never_compares_distance_matrices(monkeypatch):
+    rng = np.random.default_rng(8)
+    space = rand_space(rng, 30)
+    subset = rand_subspace(rng, space, size=8)
+    compared = []
+    real = np.array_equal
+
+    def spy(a, b, *args, **kwargs):
+        compared.append((a, b))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", spy)
+    rand_strong_projection(rng, subset)
+    rand_signed_projection(rng, subset)
+    assert compared == []
+
+
 def test_projection_coeffs_match_rows():
     rng = np.random.default_rng(5)
     for trial in range(20):

@@ -533,6 +533,31 @@ def test_verify_duality_flags_wrong_value():
     assert not ok
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field, message", [
+    ("one potential", "potential at 'b' is"),
+    ("every potential", "potential at 'a' is"),
+    ("value", "value"),
+    ("gap", "gap"),
+    ("plan mass", "plan entry"),
+])
+def test_verify_duality_refuses_non_finite_numbers(field, message, bad):
+    space = three_point()
+    res = kr_norm(SignedMeasure.dirac(space, 1) - SignedMeasure.dirac(space, 2))
+    assert verify_duality(res) == (True, "ok")
+    if field.endswith("potential"):
+        g = res.potentials.copy()
+        g[slice(None) if field == "every potential" else 1] = bad
+        broken = dataclasses.replace(res, potentials=g)
+    elif field == "plan mass":
+        broken = dataclasses.replace(res, plan={k: bad for k in res.plan})
+    else:
+        broken = dataclasses.replace(res, **{field: bad})
+    ok, msg = verify_duality(broken)
+    assert not ok
+    assert message in msg and "not finite" in msg
+
+
 def verify_duality_loops(result, tol: float = 1e-9) -> tuple[bool, str]:
     """Reference: verify_duality written as plain loops over pairs and nodes."""
     space = result.space
