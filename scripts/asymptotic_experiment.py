@@ -17,26 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from krext import FiniteMetricSpace, asymptotic_profile, doubling_estimate
-
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    min_points: int = 4
-    max_points: int = 9
-    trials: int = 3
-    seed: int = 7
-    out: str = "profiles.csv"
-
-    def __post_init__(self):
-        if not 2 <= self.min_points <= self.max_points:
-            raise ValueError("need 2 <= min_points <= max_points")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
 
 
 def random_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
@@ -51,11 +35,11 @@ def random_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
             )
 
 
-def run(cfg: ProfileConfig) -> list[dict]:
-    rng = np.random.default_rng(cfg.seed)
+def run(min_points: int, max_points: int, trials: int, seed: int) -> list[dict]:
+    rng = np.random.default_rng(seed)
     rows = []
-    for n in range(cfg.min_points, cfg.max_points + 1):
-        for trial in range(cfg.trials):
+    for n in range(min_points, max_points + 1):
+        for trial in range(trials):
             space = random_space(rng, n)
             profile = asymptotic_profile(space)
             lam = doubling_estimate(space)
@@ -79,23 +63,21 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", default="profiles.csv")
     args = ap.parse_args(argv)
-    try:
-        cfg = ProfileConfig(
-            min_points=args.min_points, max_points=args.max_points,
-            trials=args.trials, seed=args.seed, out=args.out,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not 2 <= args.min_points <= args.max_points:
+        print("error: need 2 <= min_points <= max_points", file=sys.stderr)
+        return 2
+    if args.trials < 1:
+        print("error: need at least one trial", file=sys.stderr)
         return 2
 
-    rows = run(cfg)
-    with open(cfg.out, "w", newline="") as fh:
+    rows = run(args.min_points, args.max_points, args.trials, args.seed)
+    with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
 
-    for n in range(cfg.min_points, cfg.max_points + 1):
+    for n in range(args.min_points, args.max_points + 1):
         worst = max(r["k_star"] for r in rows if r["n_points"] == n)
         lam = max(r["doubling_est"] for r in rows if r["n_points"] == n)
         bars = "#" * int(round(20 * (worst - 1.0)))

@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_udp)
 
     p = sub.add_parser("synthesize", parents=[common],
-                       help="minimal projection constant onto a subset, by LP")
+                       help="minimal projection constant onto a subset, by cutting planes")
     p.add_argument("space")
     p.add_argument("--subset", type=_comma_labels, required=True)
     p.add_argument("--mode", choices=("strong", "signed"), default="strong")

@@ -162,14 +162,16 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     supplies, arcs, costs = problem.supplies, problem.arcs, problem.costs
     if supplies.shape != (n,):
         raise ContractError(f"supplies must have shape ({n},)")
-    size = np.abs(supplies)
-    mass = float(size.sum())
-    # a finite mass means finite supplies; an infinite one may be an overflow
-    if not math.isfinite(mass) and not np.all(np.isfinite(supplies)):
+    largest = float(np.abs(supplies).max(initial=0.0))
+    if not math.isfinite(largest):   # the max of any NaN is NaN
         raise ContractError("supplies must be finite")
-    total = float(supplies.sum())
-    if abs(total) > tol * mass:
-        raise ContractError(f"unbalanced supplies: net {total:.3e}")
+    supply_shift = _grid_exponent(largest)
+    # balance is checked on the grid's scale, where every supply is below
+    # 2**GRID_BITS, so neither sum overflows; the scaling is exact
+    grid = np.ldexp(supplies, supply_shift)
+    net, mass = float(grid.sum()), float(np.abs(grid).sum())
+    if abs(net) > tol * mass:
+        raise ContractError(f"unbalanced supplies: the net is {abs(net) / mass:.3e} of their total size")
     if arcs.ndim != 2 or arcs.shape[1] != 2 or costs.shape != arcs.shape[:1]:
         raise ContractError(f"arcs must have shape (m, 2) and costs shape (m,), "
                             f"got {arcs.shape} and {costs.shape}")
@@ -189,7 +191,6 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                 raise ContractError(f"self-loop arc at node {u}")
             raise ContractError(f"arc ({u},{v}) needs a finite nonnegative cost")
 
-    supply_shift = _grid_exponent(float(size.max(initial=0.0)))
     cost_shift = _grid_exponent(largest_cost)
     b = _quantize_balanced(supplies, supply_shift)
     # rint rounds half to even, as round does; int64 holds values below 2**GRID_BITS

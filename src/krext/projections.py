@@ -20,9 +20,9 @@ equals its weighted_tv_constant bit for bit, because both go through
 one helper with term-by-term equal inputs.
 
 Also here: the explicit two-atom construction for uniformly discrete
-subsets, minimal-K synthesis as a single linear program, the asymptotic
-subset-growth experiment, and the water-filling retraction onto the
-nonnegative l1 ball.
+subsets, minimal-K synthesis by cutting planes whose cuts are kr_norm
+potentials, the asymptotic subset-growth experiment, and the
+water-filling retraction onto the nonnegative l1 ball.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import ContractError, SolverError, check_tol
 from .measures import SignedMeasure
 from .metric import FiniteMetricSpace, Subspace
 from .optim import LinearProgram, solve_lp
-from .transport import kr_norm
+from .transport import TransportResult, kr_norm
 
 __all__ = [
     "GentlePartition",
@@ -59,8 +59,6 @@ __all__ = [
 
 # absolute slack for checks on O(1) probabilities, whose constructors take no tol
 _VALID_TOL = 1e-9
-# strong-mode LP coefficients in [-_CLAMP_TOL, 0) are simplex round-off, set to 0
-_CLAMP_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +250,29 @@ def weighted_tv_constant(p: RandomProjection) -> float:
     return _max_weighted_variation(d, d[list(p.subset.members)], p.coeffs.T)
 
 
+def _difference_quotients(p: RandomProjection, tol: float,
+                          solved: dict[bytes, TransportResult]
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
+    """The pairs x < y whose rows differ, with kr_norm(rows[x] - rows[y]) / d(x, y).
+
+    Returns x, y, the quotients and each pair's key, the bytes of its row
+    difference.  solved maps keys to kr_norm results and is filled as
+    needed, so pairs with equal differences share one solve.
+    """
+    space = p.space
+    x, y = np.triu_indices(space.n, 1)
+    diff = p.coeffs[x] - p.coeffs[y]
+    differ = diff.any(axis=1)
+    x, y, diff = x[differ], y[differ], diff[differ]
+    keys = [c.tobytes() for c in diff]
+    for key, c in zip(keys, diff):
+        if key not in solved:
+            mu = SignedMeasure(space, dict(zip(p.subset.members, c.tolist())))
+            solved[key] = kr_norm(mu, tol=tol)
+    values = np.array([solved[key].value for key in keys])
+    return x, y, values / space.dist[x, y], keys
+
+
 def projection_constant(p: RandomProjection, tol: float = 1e-9) -> float:
     """Least K with dual-Lip distance between rows at most K*d(x, y).
 
@@ -260,22 +281,8 @@ def projection_constant(p: RandomProjection, tol: float = 1e-9) -> float:
     by the same coefficient vector share one solve.
     """
     check_tol(tol)
-    space = p.space
-    members = p.subset.members
-    norms: dict[bytes, float] = {}
-    best = 0.0
-    for x, y in zip(*np.triu_indices(space.n, 1)):
-        c = p.coeffs[x] - p.coeffs[y]
-        if not np.any(c):
-            continue
-        key = c.tobytes()
-        if key not in norms:
-            diff = SignedMeasure(space, dict(zip(members, c.tolist())))
-            norms[key] = kr_norm(diff, tol=tol).value
-        value = norms[key] / float(space.dist[x, y])
-        if value > best:
-            best = value
-    return best
+    quotients = _difference_quotients(p, tol, {})[2]
+    return float(quotients.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +398,21 @@ class SynthesisResult:
 
 def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
                      mode: str = "strong", tol: float = 1e-9) -> SynthesisResult:
-    """Minimize K over all projections onto the subset, by one joint LP.
+    """Minimize K over all projections onto the subset, by Kelley's cutting planes.
 
-    Variables: K, one coefficient per (exterior point, member), and one
-    transport-flow block per pair of points not both inside the subset.
-    Each block certifies that moving rows[x] onto rows[y] costs at most
-    K*d(x, y); the basepoint's balance row is dropped, which lets its
-    coefficient float exactly as the dual-Lip pairing allows.  Member
-    pairs reduce to the single row K >= 1.  Strong mode keeps the
-    coefficients nonnegative; signed mode frees them but still pins
-    each row's total mass to 1, the canonical representative since the
-    pairing cannot see the basepoint component.
+    K* is the least, over projections, of the max over pairs of
+    kr_norm(rows[x] - rows[y]) / d(x, y).  The potential f that kr_norm
+    certifies for a row difference gives the cut
+    sum_a f(a) * (rows[x](a) - rows[y](a)) <= K * d(x, y), valid for every
+    projection and tight at the current one.  From the nearest-member
+    retraction and K_lb = 1, each round adds the cut of every pair whose
+    quotient exceeds K_lb*(1 + tol); the master LP in K and the exterior
+    coefficients (mass 1 per exterior row, K >= 1, the cuts) then gives
+    the next projection and, as a relaxation, the next K_lb.  Once no pair
+    is violated, the largest quotient, the projection's
+    projection_constant, is returned as K*.  Strong mode keeps the
+    coefficients nonnegative; signed mode frees them but pins each row's
+    mass to 1, as the pairing cannot see the basepoint component.
     """
     check_tol(tol)
     if mode not in ("strong", "signed"):
@@ -409,79 +420,65 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     if subset.parent != space:
         raise ContractError("subset belongs to a different space")
     n = space.n
-    # K* is dimensionless: on d / 2^e, 2^e the least power of two above the
-    # diameter, a metric scaled by any power of two gives the same LP bit for bit
-    d = np.ldexp(space.dist, -math.frexp(space.diameter)[1])
-    members = np.array(subset.members)
-    m = members.size
-    is_member = np.isin(np.arange(n), members)
-    exterior = np.flatnonzero(~is_member)
-    if not exterior.size:
-        return SynthesisResult(1.0 if n >= 2 else 0.0, _from_coeffs(subset, np.eye(n), strong=True))
-    if m == 1:
-        return SynthesisResult(0.0, _from_coeffs(subset, np.ones((n, 1)), strong=True))
-
-    # variables: K, then one coefficient per (exterior point, member), then
-    # one flow per arc (a, b), a != b, of M in every pair block
+    strong = mode == "strong"
+    # K* is dimensionless: the master lives on d / 2^e, 2^e the least power of
+    # two above the diameter, and kr_norm's values and potentials scale
+    # exactly with the metric, so under d -> 2^k d every LP is the same bit for bit
+    e = math.frexp(space.diameter)[1]
+    d = np.ldexp(space.dist, -e)
+    members = list(subset.members)
+    m = len(members)
+    exterior = np.setdiff1d(np.arange(n), members)
     n_ext = exterior.size
-    tails, heads = np.nonzero(~np.eye(m, dtype=bool))
-    n_arcs = tails.size
-    i_all, j_all = np.triu_indices(n, 1)
-    inside = is_member[i_all] & is_member[j_all]
-    pairs_i, pairs_j = i_all[~inside], j_all[~inside]
-    n_pairs = pairs_i.size
-    ext_pos = np.zeros(n, dtype=int)
-    ext_pos[exterior] = np.arange(n_ext)
-    n_coef = 1 + n_ext * m
-    n_vars = n_coef + n_pairs * n_arcs
-
-    # rows: each exterior row carries total mass 1; pairs inside the subset
-    # force K >= 1; then per pair, balance at every member but the
-    # basepoint and the transport cost within K*d(i, j)
-    A = np.zeros((n_ext + 1 + n_pairs * m, n_vars))
-    b = np.zeros(A.shape[0])
-    A[:n_ext, 1:n_coef] = np.kron(np.eye(n_ext), np.ones(m))
-    b[:n_ext] = 1.0
-    A[n_ext, 0] = 1.0
-    b[n_ext] = 1.0
-    balanced = np.flatnonzero(members != space.basepoint)
-    node = np.arange(m)[:, None]
-    block = np.vstack([
-        ((tails == node).astype(float) - (heads == node))[balanced],
-        d[members[tails], members[heads]],
-    ])
-    bal_rows = np.arange(m - 1)
-    for p, (i, j) in enumerate(zip(pairs_i, pairs_j)):
-        r = n_ext + 1 + p * m
-        col = n_coef + p * n_arcs
-        A[r:r + m, col:col + n_arcs] = block
-        A[r + m - 1, 0] = -d[i, j]
-        # net outflow at each balanced member is rows[i] - rows[j] there:
-        # a coefficient variable for an exterior point, a constant for a member
-        for x, sign in ((i, 1.0), (j, -1.0)):
-            if is_member[x]:
-                b[r:r + m - 1] += sign * (members[balanced] == x)
-            else:
-                A[r + bal_rows, 1 + ext_pos[x] * m + balanced] = -sign
-    senses = ("==",) * n_ext + (">=",) + (("==",) * (m - 1) + ("<=",)) * n_pairs
-
-    lb = np.zeros(n_vars)
-    if mode == "signed":
-        lb[1:n_coef] = -np.inf
+    # variables: K, then one coefficient per (exterior point, member);
+    # first[x] is the first coefficient column of exterior point x
+    n_vars = 1 + n_ext * m
+    first = np.full(n, -1)
+    first[exterior] = 1 + m * np.arange(n_ext)
     c = np.zeros(n_vars)
     c[0] = 1.0
-    lp = LinearProgram(c=c, A=A, senses=senses, b=b, lb=lb)
-    res = solve_lp(lp, tol=tol)
-    if res.status != "optimal":
-        raise SolverError(
-            f"synthesis LP ended {res.status} on |X|={n}, |M|={m}, mode={mode}"
-        )
-
-    coeffs = np.zeros((n, m))
-    coeffs[exterior] = res.x[1:n_coef].reshape(n_ext, m)
-    if mode == "strong":
-        coeffs[(-_CLAMP_TOL <= coeffs) & (coeffs < 0.0)] = 0.0
-    return SynthesisResult(float(res.x[0]), _from_coeffs(subset, coeffs, mode == "strong"))
+    lb = np.zeros(n_vars)
+    if not strong:
+        lb[1:] = -np.inf
+    # rows: each exterior row carries total mass 1, K >= 1 (the row c), then the cuts
+    rows = [*np.hstack([np.zeros((n_ext, 1)), np.kron(np.eye(n_ext), np.ones(m))]), c]
+    rhs = [1.0] * (n_ext + 1)
+    senses = ("==",) * n_ext + (">=",)
+    # the first projection is the nearest-member retraction (ties: the lowest index)
+    coeffs = (np.argmin(d[:, members], axis=1)[:, None] == np.arange(m)).astype(float)
+    k_lb = 1.0
+    solved: dict[bytes, TransportResult] = {}
+    held: set[tuple[int, int, bytes]] = set()
+    while True:
+        p = _from_coeffs(subset, coeffs, strong)
+        x, y, quotients, keys = _difference_quotients(p, tol, solved)
+        violated = np.flatnonzero(quotients > k_lb * (1.0 + tol))
+        if not violated.size:
+            return SynthesisResult(float(quotients.max(initial=0.0)), p)
+        for i in violated.tolist():
+            xi, yi, key = int(x[i]), int(y[i]), keys[i]
+            # the master's solution meets every cut it holds, up to round-off
+            if (xi, yi, key) in held:
+                raise SolverError(f"synthesis master violates its own cut for pair "
+                                  f"({xi}, {yi}) on |X|={n}, |M|={m}, mode={mode}")
+            held.add((xi, yi, key))
+            f = np.ldexp(solved[key].potentials, -e)
+            row = np.zeros(n_vars)
+            row[0] = -d[xi, yi]
+            bound = 0.0
+            for point, sign in ((xi, 1.0), (yi, -1.0)):
+                if first[point] < 0:   # a member's row is its own point mass
+                    bound -= sign * f[point]
+                else:
+                    row[first[point]:first[point] + m] = sign * f[members]
+            rows.append(row)
+            rhs.append(bound)
+        senses += ("<=",) * violated.size
+        res = solve_lp(LinearProgram(c, np.array(rows), senses, np.array(rhs), lb), tol=tol)
+        if res.status != "optimal":
+            raise SolverError(f"synthesis master LP ended {res.status} on |X|={n}, |M|={m}, mode={mode}")
+        k_lb = res.objective
+        coeffs[exterior] = res.x[1:].reshape(n_ext, m)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from krext import (
     SignedMeasure,
     Subspace,
 )
+from krext.optim import LinearProgram
 
 
 def rand_space(rng: np.random.Generator, n: int, dim: int = 2) -> FiniteMetricSpace:
@@ -151,3 +152,79 @@ def rand_subset_function(rng: np.random.Generator, subset: Subspace,
     if zero_at_base:
         values[sub_space.basepoint, :] = 0.0
     return PointFunction(sub_space, values, norm)
+
+
+def synthesis_lp_loops(space: FiniteMetricSpace, subset: Subspace, mode: str) -> LinearProgram:
+    """The joint minimal-K synthesis LP, built row by row.
+
+    Variables: K, one coefficient per (exterior point, member), and one
+    transport-flow block per pair of points not both inside the subset.
+    Each block certifies that moving rows[x] onto rows[y] costs at most
+    K*d(x, y); the basepoint's balance row is dropped, which lets its
+    coefficient float exactly as the dual-Lip pairing allows.  Member
+    pairs reduce to the single row K >= 1.  Its optimum is K*.  The LP
+    is built on the metric scaled into [0, 1) by a power of two, so that
+    it is the same for every power-of-two unit.
+    """
+    n = space.n
+    members = subset.members
+    member_set = set(members)
+    exterior = tuple(x for x in range(n) if x not in member_set)
+    d = np.ldexp(space.dist, -math.frexp(space.diameter)[1])
+    bp = space.basepoint
+    m = len(members)
+    arcs = [(a, b) for a in members for b in members if a != b]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if not (i in member_set and j in member_set)]
+    ext_index = {x: k for k, x in enumerate(exterior)}
+    mem_pos = {mm: k for k, mm in enumerate(members)}
+
+    def rvar(x, mm):
+        return 1 + ext_index[x] * m + mem_pos[mm]
+
+    n_vars = 1 + len(exterior) * m + len(pairs) * len(arcs)
+    rows, senses, rhs = [], [], []
+
+    def new_row(sense, value):
+        rows.append(np.zeros(n_vars))
+        senses.append(sense)
+        rhs.append(value)
+        return rows[-1]
+
+    for x in exterior:
+        row = new_row("==", 1.0)
+        for mm in members:
+            row[rvar(x, mm)] = 1.0
+    new_row(">=", 1.0)[0] = 1.0
+    for p_idx, (i, j) in enumerate(pairs):
+        base = 1 + len(exterior) * m + p_idx * len(arcs)
+        for mm in members:
+            if mm == bp:
+                continue
+            const = 0.0
+            if i in member_set:
+                const += 1.0 if i == mm else 0.0
+            if j in member_set:
+                const -= 1.0 if j == mm else 0.0
+            row = new_row("==", const)
+            for a_idx, (a, b) in enumerate(arcs):
+                if a == mm:
+                    row[base + a_idx] += 1.0
+                if b == mm:
+                    row[base + a_idx] -= 1.0
+            if i not in member_set:
+                row[rvar(i, mm)] -= 1.0
+            if j not in member_set:
+                row[rvar(j, mm)] += 1.0
+        row = new_row("<=", 0.0)
+        for a_idx, (a, b) in enumerate(arcs):
+            row[base + a_idx] = float(d[a, b])
+        row[0] = -float(d[i, j])
+    lb = np.zeros(n_vars)
+    if mode == "signed":
+        for x in exterior:
+            for mm in members:
+                lb[rvar(x, mm)] = -np.inf
+    c = np.zeros(n_vars)
+    c[0] = 1.0
+    return LinearProgram(c, np.array(rows), tuple(senses), np.array(rhs), lb=lb)

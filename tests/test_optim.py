@@ -13,10 +13,15 @@ from hypothesis import strategies as st
 
 import krext.extension as extension
 import krext.optim as optim
-import krext.projections as projections
 import krext.transport as transport
-from conftest import rand_signed_projection, rand_space, rand_strong_projection, rand_subspace
-from krext import ContractError, SignedMeasure, SolverError, kr_norm, operator_norm, synthesize_min_k
+from conftest import (
+    rand_signed_projection,
+    rand_space,
+    rand_strong_projection,
+    rand_subspace,
+    synthesis_lp_loops,
+)
+from krext import ContractError, SignedMeasure, SolverError, kr_norm, operator_norm
 from krext.optim import (
     FlowProblem,
     FlowResult,
@@ -525,6 +530,17 @@ def test_flow_accepts_finite_supplies_whose_total_mass_overflows():
     assert res.cost == 0.75e308
 
 
+@pytest.mark.parametrize("supplies, triples", [
+    # |supplies| sums to inf; the net 1e307 would land on node 3, whose supply is 0
+    ([1.5e308, -1.5e308, 1e307, 0.0], ((0, 1, 1.0), (2, 3, 1.0))),
+    # the pairwise float sum is inf - inf = NaN; the net 1e300 is 2.5e-9 of the size
+    ([1e308, -1e308, *[0.0] * 6, 1e308, -1e308, *[0.0] * 5, 1e300], ((0, 1, 0.25), (8, 9, 0.25))),
+])
+def test_flow_rejects_unbalanced_supplies_whose_float_sums_overflow(supplies, triples):
+    with pytest.raises(ContractError, match="unbalanced supplies"):
+        solve_flow(flow_problem(len(supplies), np.array(supplies), triples))
+
+
 def test_flow_names_supplies_whose_running_sums_overflow():
     # each supply is finite, but 1e308 + 1e308 is not
     problem = flow_problem(4, np.array([1e308, 1e308, -1e308, -1e308]), ((0, 2, 1.0), (1, 3, 1.0)))
@@ -909,13 +925,13 @@ def random_lp(rng):
 
 
 def synthesis_lps(mode):
+    """The joint synthesis LPs of 40 seeded cases at n = 3..7: 6 to 64 rows, degenerate."""
     rng = np.random.default_rng(211)
     lps = []
     for _ in range(40):
         space = rand_space(rng, int(rng.integers(3, 8)))
         subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
-        lps += captured_lps(projections, lambda: synthesize_min_k(space, subset, mode=mode))
-    assert len(lps) == 40
+        lps.append(synthesis_lp_loops(space, subset, mode))
     return lps
 
 

@@ -17,6 +17,7 @@ from conftest import (
     rand_space,
     rand_strong_projection,
     rand_subspace,
+    synthesis_lp_loops,
 )
 from krext import (
     ContractError,
@@ -24,6 +25,7 @@ from krext import (
     GentlePartition,
     RandomProjection,
     SignedMeasure,
+    SolverError,
     Subspace,
     asymptotic_profile,
     gentle_constant,
@@ -40,7 +42,7 @@ from krext import (
     weighted_tv_constant,
 )
 from krext import projections
-from krext.optim import solve_lp
+from krext.optim import LinearProgram, solve_lp
 from test_metric import three_point
 from test_optim import captured_lps
 
@@ -573,106 +575,6 @@ def synthesis_oracle_two_members(space, subset, grid=4001) -> float:
     return best if exterior else 1.0
 
 
-def synthesis_lp_loops(space, subset, mode):
-    """The synthesis LP (c, A, senses, b, lb) built row by row, as in its original form."""
-    n = space.n
-    members = subset.members
-    member_set = set(members)
-    exterior = tuple(x for x in range(n) if x not in member_set)
-    d = space.dist
-    bp = space.basepoint
-    m = len(members)
-    arcs = [(a, b) for a in members for b in members if a != b]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if not (i in member_set and j in member_set)]
-    ext_index = {x: k for k, x in enumerate(exterior)}
-    mem_pos = {mm: k for k, mm in enumerate(members)}
-
-    def rvar(x, mm):
-        return 1 + ext_index[x] * m + mem_pos[mm]
-
-    n_vars = 1 + len(exterior) * m + len(pairs) * len(arcs)
-    rows, senses, rhs = [], [], []
-
-    def new_row(sense, value):
-        rows.append(np.zeros(n_vars))
-        senses.append(sense)
-        rhs.append(value)
-        return rows[-1]
-
-    for x in exterior:
-        row = new_row("==", 1.0)
-        for mm in members:
-            row[rvar(x, mm)] = 1.0
-    new_row(">=", 1.0)[0] = 1.0
-    for p_idx, (i, j) in enumerate(pairs):
-        base = 1 + len(exterior) * m + p_idx * len(arcs)
-        for mm in members:
-            if mm == bp:
-                continue
-            const = 0.0
-            if i in member_set:
-                const += 1.0 if i == mm else 0.0
-            if j in member_set:
-                const -= 1.0 if j == mm else 0.0
-            row = new_row("==", const)
-            for a_idx, (a, b) in enumerate(arcs):
-                if a == mm:
-                    row[base + a_idx] += 1.0
-                if b == mm:
-                    row[base + a_idx] -= 1.0
-            if i not in member_set:
-                row[rvar(i, mm)] -= 1.0
-            if j not in member_set:
-                row[rvar(j, mm)] += 1.0
-        row = new_row("<=", 0.0)
-        for a_idx, (a, b) in enumerate(arcs):
-            row[base + a_idx] = float(d[a, b])
-        row[0] = -float(d[i, j])
-    lb = np.zeros(n_vars)
-    if mode == "signed":
-        for x in exterior:
-            for mm in members:
-                lb[rvar(x, mm)] = -np.inf
-    c = np.zeros(n_vars)
-    c[0] = 1.0
-    rows_of = {x: {mm: rvar(x, mm) for mm in members} for x in exterior}
-    return c, np.array(rows), tuple(senses), np.array(rhs), lb, rows_of
-
-
-@pytest.mark.parametrize("mode", ["strong", "signed"])
-def test_synthesis_lp_matches_the_loop_reference(mode, monkeypatch):
-    solved = []
-
-    def capture(lp, **kwargs):
-        solved.append((lp, solve_lp(lp, **kwargs)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(projections, "solve_lp", capture)
-    rng = np.random.default_rng(97)
-    for _ in range(25):
-        space = rand_space(rng, int(rng.integers(3, 8)))
-        subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
-        solved.clear()
-        res = synthesize_min_k(space, subset, mode=mode)
-        # the LP is built on the metric scaled into [0, 1) by a power of two
-        unit = FiniteMetricSpace(space.labels, np.ldexp(space.dist, -math.frexp(space.diameter)[1]),
-                                 space.basepoint)
-        c, A, senses, b, lb, rows_of = synthesis_lp_loops(unit, subset, mode)
-        ((lp, sol),) = solved
-        assert np.array_equal(lp.c, c) and np.array_equal(lp.A, A)
-        assert np.array_equal(lp.b, b) and np.array_equal(lp.lb, lb)
-        assert lp.senses == senses
-        # K* and the rows are read off the solution as the loop form read them
-        assert res.k_star == float(sol.x[0])
-        for x, cols in rows_of.items():
-            for mm, col in cols.items():
-                v = float(sol.x[col])
-                if mode == "strong" and -1e-11 <= v < 0.0:
-                    v = 0.0
-                assert res.projection.rows[x][mm] == v
-
-
 def test_synthesize_full_subset_returns_identity():
     space = three_point()
     res = synthesize_min_k(space, Subspace(space, (0, 1, 2)))
@@ -697,19 +599,52 @@ def test_synthesize_canonical_three_point_matches_grid_oracle():
     assert res.k_star == pytest.approx(oracle, abs=1e-6)
 
 
-def test_synthesize_star_space_strict_above_one():
-    # three leaves pairwise 1, hub at 1/2 from each; projecting onto the
-    # leaves costs 4/3
+def star_space() -> FiniteMetricSpace:
+    """Three leaves pairwise 1 apart, and a hub at 1/2 from each."""
     d = np.array([
         [0.0, 1.0, 1.0, 0.5],
         [1.0, 0.0, 1.0, 0.5],
         [1.0, 1.0, 0.0, 0.5],
         [0.5, 0.5, 0.5, 0.0],
     ])
-    space = FiniteMetricSpace(("l1", "l2", "l3", "hub"), d, basepoint=0)
+    return FiniteMetricSpace(("l1", "l2", "l3", "hub"), d, basepoint=0)
+
+
+def test_synthesize_star_space_strict_above_one():
+    # projecting onto the leaves costs 4/3
+    space = star_space()
     sub = subspace_from_labels(space, ["l1", "l2", "l3"])
     res = synthesize_min_k(space, sub, mode="strong")
     assert res.k_star == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+
+def test_synthesis_solves_each_row_difference_once(monkeypatch):
+    # the member pairs' differences recur in every round
+    solved = []
+
+    def spy(mu, tol):
+        solved.append(tuple(mu.coeff.items()))
+        return kr_norm(mu, tol=tol)
+
+    monkeypatch.setattr(projections, "kr_norm", spy)
+    space = star_space()
+    subset = subspace_from_labels(space, ["l1", "l2", "l3"])
+    assert len(captured_lps(projections, lambda: synthesize_min_k(space, subset))) >= 2
+    assert len(solved) == len(set(solved))
+
+
+def test_synthesis_raises_when_its_master_violates_a_held_cut(monkeypatch):
+    # a master that drops its cuts returns the projection it returned
+    # before, whose violated pairs already have their cuts
+    def without_cuts(lp, **kwargs):
+        keep = [i for i, sense in enumerate(lp.senses) if sense != "<="]
+        return solve_lp(LinearProgram(lp.c, lp.A[keep], tuple(lp.senses[i] for i in keep),
+                                      lp.b[keep], lp.lb), **kwargs)
+
+    monkeypatch.setattr(projections, "solve_lp", without_cuts)
+    space = star_space()
+    with pytest.raises(SolverError, match="violates its own cut"):
+        synthesize_min_k(space, subspace_from_labels(space, ["l1", "l2", "l3"]))
 
 
 def test_synthesize_returned_projection_certifies_k():
@@ -749,7 +684,7 @@ def test_synthesized_k_is_the_constant_of_its_projection(mode):
         space = make(rng, int(rng.integers(3, 9)))
         subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
         res = synthesize_min_k(space, subset, mode=mode)
-        assert projection_constant(res.projection) == pytest.approx(res.k_star, rel=1e-9)
+        assert projection_constant(res.projection) == res.k_star
 
 
 def highs_lp_value(lp):
@@ -769,15 +704,43 @@ def highs_lp_value(lp):
 
 @pytest.mark.parametrize("mode", ["strong", "signed"])
 def test_synthesized_k_matches_highs_on_its_own_lp(mode):
+    # the joint LP, one transport-flow block per pair, is an independent route to K*
     rng = np.random.default_rng(43)
     for t in range(16):
         make = rand_space if t % 2 == 0 else rand_repaired_space
-        space = make(rng, int(rng.integers(5, 10)))
+        space = make(rng, int(rng.integers(5, 13)))
         subset = rand_subspace(rng, space, size=int(rng.integers(2, min(6, space.n))))
-        out = []
-        lps = captured_lps(projections, lambda: out.append(synthesize_min_k(space, subset, mode=mode)))
-        assert len(lps) == 1
-        assert out[0].k_star == pytest.approx(highs_lp_value(lps[0]), rel=1e-8)
+        res = synthesize_min_k(space, subset, mode=mode)
+        assert res.k_star == pytest.approx(highs_lp_value(synthesis_lp_loops(space, subset, mode)), rel=1e-8)
+
+
+@pytest.fixture(scope="module")
+def sweep_12_5():
+    """32 syntheses at (|X|, |M|) = (12, 5): seeds 0-7, both generators, both modes.
+
+    The joint LP raised SolverError on 22 of them.
+    """
+    out = []
+    for seed in range(8):
+        for make in (rand_space, rand_repaired_space):
+            for mode in ("strong", "signed"):
+                rng = np.random.default_rng(seed)
+                space = make(rng, 12)
+                others = [x for x in range(space.n) if x != space.basepoint]
+                picked = rng.choice(others, 4, replace=False)
+                subset = Subspace(space, tuple(sorted([space.basepoint, *map(int, picked)])))
+                out.append((space, subset, mode, synthesize_min_k(space, subset, mode=mode)))
+    return out
+
+
+def test_synthesis_solves_every_case_of_the_12_5_sweep(sweep_12_5):
+    for _, _, _, res in sweep_12_5:
+        assert projection_constant(res.projection) == res.k_star >= 1.0
+
+
+def test_synthesis_matches_highs_on_the_12_5_sweep(sweep_12_5):
+    for space, subset, mode, res in sweep_12_5:
+        assert res.k_star == pytest.approx(highs_lp_value(synthesis_lp_loops(space, subset, mode)), rel=1e-8)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(-80, 80), st.sampled_from(["strong", "signed"]))

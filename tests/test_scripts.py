@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import importlib.util
-import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -13,7 +12,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module   # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -41,5 +39,8 @@ def test_scripts_reject_bad_arguments(tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert load_script("asymptotic_experiment").main(["--min-points", "5", "--max-points", "4",
                                                       "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error:") == 1
+    assert load_script("asymptotic_experiment").main(["--trials", "0", "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.count("error:") == 1
