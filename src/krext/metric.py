@@ -197,7 +197,8 @@ class Subspace:
         return i in self.members
 
     def complement(self) -> tuple[int, ...]:
-        return tuple(np.setdiff1d(np.arange(self.parent.n), self.members).tolist())
+        # np.delete, not np.setdiff1d, whose np.unique imports numpy.ma
+        return tuple(np.delete(np.arange(self.parent.n), self.members).tolist())
 
     def to_space(self) -> FiniteMetricSpace:
         mem = list(self.members)
@@ -232,7 +233,12 @@ def doubling_estimate(space: FiniteMetricSpace) -> int:
     d = space.dist
     n = space.n
     upper = d[np.triu_indices(n, 1)]
-    radii = np.unique(upper[upper > 0])
+    # the distinct radii, sorted and deduplicated by hand: np.unique
+    # imports numpy.ma, some 20 ms of start-up for a CLI process
+    radii = np.sort(upper[upper > 0])
+    first = np.ones(radii.size, dtype=bool)
+    first[1:] = radii[1:] != radii[:-1]
+    radii = radii[first]
     half = radii / 2.0
     best = 1
     for c in range(n):

@@ -24,27 +24,43 @@ sources and the deficit count carry over from phase to phase, so a
 phase makes no pass over all nodes beyond building the label and
 tree-arc vectors and raising the potentials; on dense problems the
 pre-pass below adds its array work and one interpreted step per node,
-per flow arc and per arc it keeps.
+per flow arc and per arc it keeps, and its loop pushes each node once.
 
 On dense problems, with at least DENSE_ARCS_PER_NODE arcs per node, a
 phase first computes every node's exact label with array code and hands
 the heap loop only the forward arcs that lie on a shortest path.  An
 arc carrying flow has reduced cost zero both ways, so each component of
 the flow support shares one label; the pre-pass contracts them and runs
-Bellman-Ford rounds between components, about three at n = 100.  The
-heap loop is the same one, and over any arc set that holds every tight
-arc it settles the same nodes in the same order, picks the same tree
-arcs and raises the same potentials, so results are bit for bit those
-of a full scan.  The order of a node's list matters only between
-parallel arcs, where the first to offer a label keeps it: the heap
-holds distinct (label, node) pairs, so it pops them in one order
-whatever order they were pushed in.  The gate is an input property: the
-pre-pass costs some 45 numpy calls per phase, which a sparse problem's
-heap loop never wins back.  Labels are int64 and saturate at 2**61, and
-every arc into a saturated node is kept; a phase whose potentials exceed
-2**61 scans every arc.  Transport problems never get there, since their
-sources keep potential 0 and each sink has an arc from every source, so
-labels and potentials stay below the largest cost, 2**60 on the grid.
+Bellman-Ford rounds between components, about three at n = 100.  Every
+arc left to scan is then tight, label[u] + rc(u, w) == label[w], and a
+backward arc joins two nodes of one component, so the first arc to
+reach a node offers exactly its label and no later offer is lower.  The
+heap loop is a first-offer loop: it pushes each node once, at its
+label, by the first listed arc that reaches it, which becomes its tree
+arc; it keeps no tentative distances, meets no stale entry and does no
+arithmetic per arc, and its heap holds each node's rank in (label,
+node) order, which orders like the pair.  A full scan settles the same
+nodes in the same order: the heap holds distinct (label, node) pairs,
+so it pops them in one order whatever order they were pushed in, and
+the extra entries of a full scan are tentative labels above the true
+ones, which it skips when they surface.  Its tree arc into a node is
+the first tight arc scanned into it, since an arc that is not tight
+offers more than the label and a later tight arc replaces it; that is
+the first-offer loop's tree arc, so the potentials rise by the same
+amounts and results are bit for bit those of a full scan.  The order
+of a node's list matters only between parallel arcs, and the pre-pass
+lists them in arc order, as a full scan does.  The gate is an input
+property: the pre-pass costs some 45 numpy calls per phase, which a
+sparse problem's heap loop never wins back.  Labels are int64 and
+saturate at 2**61, and every arc into a saturated node is kept: a phase
+in which a deficit's label saturates runs the tentative-distance loop
+over the same lists, and a phase whose potentials exceed 2**61 scans
+every arc.  The potentials stay an int64 array between first-offer
+phases, within [0, 2**62], and the end certificate checks their reduced
+costs in one int64 pass.  Transport problems never saturate, since
+their sources keep potential 0 and each sink has an arc from every
+source, so labels and potentials stay below the largest cost, 2**60 on
+the grid.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
@@ -77,10 +93,11 @@ GRID_BITS = 60
 # solve_flow runs the label pre-pass (_LabelPrepass) only on problems with at
 # least this many arcs per node.  Its ~45 numpy calls per phase pay off only once
 # the heap loop would relax many arcs per settled node.  Measured per solve on the
-# transport benchmark's flow problems (2-vCPU VM, Python 3.11, numpy 2.4), without
-# and with the pre-pass: 13 nodes and 47 arcs, 0.48 and 0.76 ms; n=40 at full
-# support (10 arcs per node), 3.3 and 3.7 ms; n=70 (17 per node), 11.0 and 8.7 ms;
-# n=100 (25 per node), 27 and 18 ms.
+# transport benchmark's flow problems (2-vCPU VM, Python 3.11, numpy 2.4, CPU
+# time, medians of 9 passes, three runs), without and with the pre-pass: 13 nodes
+# and 47 arcs, 0.32 and 0.54 ms; n=40 at full support (10 arcs per node), 2.7-2.8
+# and 2.5-2.7 ms, about even; n=70 (17 per node), 9.2-10.7 and 6.2-6.8 ms; n=100
+# (25 per node), 22-27 and 10-14 ms.
 DENSE_ARCS_PER_NODE = 16
 # pre-pass labels saturate here, so a label plus a reduced cost stays in int64
 _LABEL_CAP = 1 << 61
@@ -212,60 +229,111 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     total_excess = sum(x for x in b if x > 0)
     sources = [s for s in range(n) if b[s] > 0]
     deficits = sum(1 for x in b if x < 0)   # a node never becomes a deficit again
-    pi = [0] * n                  # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0
+    # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0.  Dense problems
+    # keep pi an int64 array while it fits; a phase on a tentative loop
+    # makes it a list of ints, which may outgrow int64
+    pi: np.ndarray | list[int] = np.zeros(n, dtype=np.int64) if dense else [0] * n
     phases = augmentations = 0
     max_aug = 4 * (n + len(cost)) + 16
     heappush, heappop = heapq.heappush, heapq.heappop
 
     while total_excess > 0:
         phases += 1
-        dist: list[float] = [math.inf] * n
         via: list[int | None] = [None] * n   # tree arc into each node
         sources = [s for s in sources if excess[s] > 0]
-        pq = [(0, s) for s in sources]   # sorted, so a heap
-        for s in sources:
-            dist[s] = 0
+        reached: list[int] = []   # deficit nodes in settle order
         # the pre-pass drops only arcs that cannot be tight
-        scan = prepass.tight_arcs(pi, sources, backward) if prepass is not None else None
-        if scan is None:
+        found = prepass.tight_arcs(pi, sources, backward) if prepass is not None else None
+        if found is None:
             if forward is None:
                 forward = [[] for _ in range(n)]
                 for u, entry in zip(tails, zip(heads, cost, range(len(cost)))):
                     forward[u].append(entry)
             scan = forward
-        reached: list[int] = []   # deficit nodes in settle order
-        last = 0
-        while pq:
-            dv, v = heappop(pq)
-            # labels only ever drop, so a stale entry is one above the label;
-            # reduced costs are nonnegative, so a settled label never drops
-            if dv != dist[v]:
-                continue
-            last = dv
-            if excess[v] < 0:
-                reached.append(v)
-                if len(reached) == deficits:
-                    break
-            base = dv + pi[v]
-            for w, c, e in scan[v]:
-                nd = base + c - pi[w]
-                if nd < dist[w]:
-                    dist[w] = nd
-                    via[w] = e
-                    heappush(pq, (nd, w))
-            # in a transport problem a node has forward or backward arcs, not both
-            if arcs_in := backward[v]:
-                for w, c, e in arcs_in.values():
+            first_offer = False
+        else:
+            scan, label = found
+            lab = label.tolist()
+            # a saturated label is not exact, so the first-offer loop needs
+            # every deficit below the cap; a saturated node elsewhere is
+            # pushed but never settled
+            first_offer = label.max() < _LABEL_CAP or all(
+                x < _LABEL_CAP for x, ex in zip(lab, excess) if ex < 0)
+        if first_offer:
+            # every listed arc is tight, so the first arc to reach a node
+            # offers its exact label: the node is pushed once, at that label,
+            # with that arc as its tree arc, and no entry goes stale
+            offered = [False] * n
+            for s in sources:
+                offered[s] = True
+            # the heap holds each node's rank in (label, node) order: small
+            # ints compare faster than the pairs and pop in the same order;
+            # the sources have label 0, so their ranks ascend, a heap
+            by_rank = np.argsort(label, kind="stable")
+            rank = np.empty(n, dtype=np.int64)
+            rank[by_rank] = np.arange(n)
+            by_rank, rank = by_rank.tolist(), rank.tolist()
+            pq = [rank[s] for s in sources]
+            while pq:
+                v = by_rank[heappop(pq)]
+                if excess[v] < 0:
+                    reached.append(v)
+                    if len(reached) == deficits:
+                        break
+                for w, _, e in scan[v]:
+                    if not offered[w]:
+                        offered[w] = True
+                        via[w] = e
+                        heappush(pq, rank[w])
+                if arcs_in := backward[v]:
+                    for w, _, e in arcs_in.values():
+                        if not offered[w]:
+                            offered[w] = True
+                            via[w] = e
+                            heappush(pq, rank[w])
+            # every node below the last label is settled at its label
+            pi = pi + np.minimum(label, lab[v])
+        else:
+            if not isinstance(pi, list):
+                pi = pi.tolist()
+            dist: list[float] = [math.inf] * n
+            for s in sources:
+                dist[s] = 0
+            pq = [(0, s) for s in sources]   # sorted, so a heap
+            last = 0
+            while pq:
+                dv, v = heappop(pq)
+                # labels only ever drop, so a stale entry is one above the label;
+                # reduced costs are nonnegative, so a settled label never drops
+                if dv != dist[v]:
+                    continue
+                last = dv
+                if excess[v] < 0:
+                    reached.append(v)
+                    if len(reached) == deficits:
+                        break
+                base = dv + pi[v]
+                for w, c, e in scan[v]:
                     nd = base + c - pi[w]
                     if nd < dist[w]:
                         dist[w] = nd
                         via[w] = e
                         heappush(pq, (nd, w))
+                # in a transport problem a node has forward or backward arcs, not both
+                if arcs_in := backward[v]:
+                    for w, c, e in arcs_in.values():
+                        nd = base + c - pi[w]
+                        if nd < dist[w]:
+                            dist[w] = nd
+                            via[w] = e
+                            heappush(pq, (nd, w))
+            # settled nodes move by their distance, the rest by the last one,
+            # which zeroes the reduced cost of every tree arc
+            pi = [p + (dv if dv < last else last) for p, dv in zip(pi, dist)]
+            if prepass is not None and max(pi) <= _LABEL_CAP:
+                pi = np.array(pi, dtype=np.int64)
         if not reached:
             raise ContractError("flow problem is infeasible: a deficit node is unreachable")
-        # settled nodes move by their distance, the rest by the last one,
-        # which zeroes the reduced cost of every tree arc
-        pi = [p + (dv if dv < last else last) for p, dv in zip(pi, dist)]
 
         for t in reached:
             amount = -excess[t]
@@ -305,15 +373,23 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     # exact certificates on the quantized instance; failure means a bug:
     # no reduced cost is negative and every flow arc has reduced cost zero.
     # Only flow arcs enter the slackness test and the cost; the loop names
-    # the first bad arc
+    # the first bad arc.  An int64 pi holds values in [0, 2**62] and costs
+    # are below 2**60, so its one array pass cannot overflow
     support = list(compress(range(len(flow)), flow))   # the arcs carrying flow
-    reduced = [c + pi[u] - pi[v] for u, v, c in zip(tails, heads, cost)]
-    if min(reduced, default=0) < 0 or any(reduced[k] for k in support):
-        for r, f in zip(reduced, flow):
-            if r < 0:
-                raise SolverError("optimality certificate failed on a residual arc")
-            if f > 0 and r > 0:
-                raise SolverError("complementary slackness failed on a flow arc")
+    if isinstance(pi, list):
+        certified = False
+    else:
+        reduced = cost_grid + pi[arcs[:, 0]] - pi[arcs[:, 1]]
+        certified = reduced.min() >= 0 and not reduced[support].any()
+        pi = pi.tolist()
+    if not certified:
+        reduced = [c + pi[u] - pi[v] for u, v, c in zip(tails, heads, cost)]
+        if min(reduced, default=0) < 0 or any(reduced[k] for k in support):
+            for r, f in zip(reduced, flow):
+                if r < 0:
+                    raise SolverError("optimality certificate failed on a residual arc")
+                if f > 0 and r > 0:
+                    raise SolverError("complementary slackness failed on a flow arc")
     cost_int = sum(flow[k] * cost[k] for k in support)
     if -sum(map(operator.mul, b, pi)) != cost_int:
         raise SolverError("flow duality gap is nonzero on the quantized instance")
@@ -339,15 +415,18 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
 class _LabelPrepass:
     """Exact phase labels with array code, for dense solve_flow instances.
 
-    Each phase it returns every node's forward arcs that can be tight,
-    label[u] + rc(u, w) == label[w], in stable head order; the module
-    docstring says why a heap loop over only those gives the same results.
+    Each phase it returns every node's label and its forward arcs that can
+    be tight, label[u] + rc(u, w) == label[w], in stable head order.  Over
+    those arcs the first arc to reach a node offers exactly its label, so
+    the first-offer loop pushes each node once, at that label; the module
+    docstring says why that settles the nodes of a full scan in its order.
     Components of the flow support share one label, so the Bellman-Ford
     rounds run on contracted arcs, and backward arcs, which lie inside a
     component, are always scanned.  Labels saturate at _LABEL_CAP: a label
     below it is exact, and every arc into a saturated (or unreached) node
-    is kept.  When a potential exceeds _LABEL_CAP it returns None and the
-    phase scans every arc.
+    is kept, so a phase with a saturated deficit can run the tentative
+    loop over the same lists.  When a potential exceeds _LABEL_CAP it
+    returns None and the phase scans every arc.
     """
 
     def __init__(self, arcs: np.ndarray, cost: np.ndarray):
@@ -360,12 +439,16 @@ class _LabelPrepass:
         self.starts = np.flatnonzero(np.concatenate([[True], self.heads[1:] != self.heads[:-1]]))
         self.run_heads = self.heads[self.starts]
 
-    def tight_arcs(self, pi: list[int], sources: list[int],
-                   backward: list[dict[int, tuple[int, int, int]]]) -> list[list[tuple[int, int, int]]] | None:
-        """Each node's forward residual arcs that can be tight this phase, or None."""
+    def tight_arcs(self, pi: np.ndarray | list[int], sources: list[int],
+                   backward: list[dict[int, tuple[int, int, int]]]
+                   ) -> tuple[list[list[tuple[int, int, int]]], np.ndarray] | None:
+        """Each node's forward residual arcs that can be tight, and its label; or None.
+
+        pi is an int64 array, or a list once it may have outgrown int64.
+        """
         # the sources keep pi = 0, so max(pi) is its spread: reduced costs are
         # then below 2**62, and a label plus a reduced cost stays below 2**63
-        if max(pi) > _LABEL_CAP:
+        if isinstance(pi, list) or pi.max() > _LABEL_CAP:
             return None
         n = len(pi)
         # union-find over the flow arcs, the lower root on top, so that one
@@ -389,28 +472,28 @@ class _LabelPrepass:
             root[x] = root[root[x]]
         comp = np.array(root)
 
-        p = np.array(pi, dtype=np.int64)
-        into = self.cost - p[self.heads]   # rc(u, w) = p[u] + into
+        rc = self.cost + pi[self.tails] - pi[self.heads]
+        tail_comp = comp[self.tails]
         run_comp = comp[self.run_heads]
         label = np.full(n, _LABEL_CAP, dtype=np.int64)
         label[comp[sources]] = 0
         # Bellman-Ford rounds until no component label drops; a label only
         # takes an offer below the one it holds, so it stays <= _LABEL_CAP
         while True:
-            node = label[comp]
-            offer = (node + p)[self.tails] + into
+            offer = label[tail_comp] + rc
             best = np.minimum.reduceat(offer, self.starts)
             if not (best < label[run_comp]).any():
                 break
             np.minimum.at(label, run_comp, best)
 
         # tight under saturation, so every arc into a saturated node is kept
+        node = label[comp]
         kept = np.flatnonzero(np.minimum(offer, _LABEL_CAP) == node[self.heads])
         scan: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         entries = self.entries
         for u, i in zip(self.tails[kept].tolist(), kept.tolist()):
             scan[u].append(entries[i])
-        return scan
+        return scan, node
 
 
 # ---------------------------------------------------------------------------

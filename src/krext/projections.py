@@ -428,7 +428,7 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     d = np.ldexp(space.dist, -e)
     members = list(subset.members)
     m = len(members)
-    exterior = np.setdiff1d(np.arange(n), members)
+    exterior = np.delete(np.arange(n), members)   # np.setdiff1d would import numpy.ma
     n_ext = exterior.size
     # variables: K, then one coefficient per (exterior point, member);
     # first[x] is the first coefficient column of exterior point x

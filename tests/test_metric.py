@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +290,29 @@ def test_subspace_membership_and_complement():
     assert sub.local_index(2) == 1
     with pytest.raises(ContractError):
         sub.local_index(1)
+
+
+def test_synthesis_and_doubling_do_not_import_numpy_ma():
+    # np.unique, and np.setdiff1d through it, imports numpy.ma: about 20 ms
+    # of start-up for each krext process that reaches one of these calls
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from krext import FiniteMetricSpace, Subspace, doubling_estimate, synthesize_min_k
+        pts = np.random.default_rng(3).uniform(size=(7, 2))
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        space = FiniteMetricSpace(tuple("abcdefg"), d, 0)
+        subset = Subspace(space, (0, 2, 4))
+        synthesize_min_k(space, subset)
+        synthesize_min_k(space, subset, mode="signed")
+        assert subset.complement() == (1, 3, 5, 6)
+        doubling_estimate(space)
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(metric.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_subspace_from_labels():

@@ -32,7 +32,7 @@ from krext.optim import (
     solve_flow,
     solve_lp,
 )
-from test_metric import three_point
+from test_metric import grid_space, three_point
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +450,56 @@ def test_flow_keeps_the_first_of_parallel_arcs_on_the_dense_path(monkeypatch):
     assert prepass == [True] * res.phases
     doubled = np.isin(shuffle, twin) | (shuffle >= n * (n - 1))
     assert any(res.flow_int[k] for k in np.flatnonzero(doubled))
+
+
+def _tied_dense_problems():
+    """Dense flow problems whose shortest-path labels tie often."""
+    rng = np.random.default_rng(67)
+    # complete digraphs with costs in {0, 1, 2, 3}
+    for _ in range(6):
+        n = int(rng.integers(20, 41))
+        u, v = np.nonzero(~np.eye(n, dtype=bool))
+        supplies = rng.uniform(-2, 2, size=n)
+        supplies[-1] -= supplies.sum()
+        yield FlowProblem(n, supplies, np.column_stack([u, v]), np.round(rng.uniform(0.0, 3.0, u.size)))
+    # the doubled-arc digraph of test_flow_keeps_the_first_of_parallel_arcs_on_the_dense_path
+    rng = np.random.default_rng(66)
+    n = 24
+    u, v = np.nonzero(~np.eye(n, dtype=bool))
+    costs = rng.uniform(0.0, 3.0, u.size)
+    twin = rng.choice(u.size, size=u.size // 4, replace=False)
+    u, v, costs = (np.concatenate([x, x[twin]]) for x in (u, v, costs))
+    shuffle = rng.permutation(u.size)
+    supplies = rng.uniform(-2, 2, size=n)
+    supplies[-1] -= supplies.sum()
+    yield FlowProblem(n, supplies, np.column_stack([u, v])[shuffle], costs[shuffle])
+    # kr_norm at full support on the 10 x 10 grid's integer path metric
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "solve_flow", lambda problem, tol: seen.append(problem) or solve_flow(problem, tol))
+        space = grid_space(10)
+        kr_norm(SignedMeasure(space, {i: float(rng.uniform(-2, 2)) for i in range(space.n)}))
+    yield seen.pop()
+
+
+def test_first_offer_phases_match_the_full_scan_where_labels_tie(monkeypatch):
+    # each problem solved with the label pre-pass in every phase and again
+    # with a gate above its arc count, so every phase scans every arc: with
+    # integer costs many labels tie, and a wrong tie-break in the pre-pass's
+    # first-offer loop would pick another tree arc, hence another run
+    problems = list(_tied_dense_problems())
+    prepass = count_prepass_phases(monkeypatch)
+    for problem in problems:
+        before = len(prepass)
+        dense = solve_flow(problem)
+        assert prepass[before:] == [True] * dense.phases
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "DENSE_ARCS_PER_NODE", problem.costs.size + 1)
+            full = solve_flow(problem)
+        assert len(prepass) == before + dense.phases
+        assert dense.flow_int == full.flow_int
+        assert np.array_equal(dense.potentials, full.potentials)
+        assert (dense.phases, dense.augmentations) == (full.phases, full.augmentations)
 
 
 def test_flow_keeps_exact_paths_when_labels_outgrow_the_int64_headroom(monkeypatch):
