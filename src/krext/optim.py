@@ -52,15 +52,16 @@ of a node's list matters only between parallel arcs, and the pre-pass
 lists them in arc order, as a full scan does.  The gate is an input
 property: the pre-pass costs some 45 numpy calls per phase, which a
 sparse problem's heap loop never wins back.  Labels are int64 and
-saturate at 2**61, and every arc into a saturated node is kept: a phase
-in which a deficit's label saturates runs the tentative-distance loop
-over the same lists, and a phase whose potentials exceed 2**61 scans
-every arc.  The potentials stay an int64 array between first-offer
-phases, within [0, 2**62], and the end certificate checks their reduced
-costs in one int64 pass.  Transport problems never saturate, since
-their sources keep potential 0 and each sink has an arc from every
-source, so labels and potentials stay below the largest cost, 2**60 on
-the grid.
+saturate at 2**61.  While no potential exceeds 2**61 and no deficit's
+label saturates, a phase runs first-offer, which stops at the last
+deficit and so settles only exact labels.  Otherwise the pre-pass gives
+up, the potentials reach 2**61 and only rise, and the rest of the solve
+runs the tentative-distance loop over every arc.  The potentials stay
+an int64 array while the pre-pass runs, within [0, 2**62], and the end
+certificate checks their reduced costs in one int64 pass.  Transport
+problems never give up, since their sources keep potential 0 and each
+sink has an arc from every source, so labels and potentials stay below
+the largest cost, 2**60 on the grid.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
@@ -68,7 +69,8 @@ degenerate stall, which restores the termination guarantee.  Each run
 keeps one explicit basis inverse for x_B, the duals and the entering
 column: np.linalg.inv forms it at the start and every REFACTOR pivots,
 one rank-one (eta) update per pivot keeps it in between, and an
-"optimal" or "unbounded" verdict is only taken on a freshly formed one.
+"optimal" or "unbounded" verdict is only taken on a freshly formed one;
+phase 1 cannot be unbounded, so that verdict there raises SolverError.
 Optimal bases are certified before returning, on a fresh solve of the
 final basis that does not read the maintained inverse: primal residuals,
 dual residuals and complementary slackness are all rechecked against the
@@ -104,6 +106,9 @@ _LABEL_CAP = 1 << 61
 
 # a simplex reduced cost or pivot entry at most this large counts as zero
 PIVOT_TOL = 1e-10
+# nor may a pivot entry be at most this fraction of the column's largest entry:
+# such a pivot amplifies the column's rounding into the basis inverse
+PIVOT_REL = 1e-9
 # hard iteration cap, a safety net on top of the Bland fallback
 MAX_ITERATIONS = 200_000
 # iterations without relative objective progress above STALL_PROGRESS
@@ -229,9 +234,8 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     total_excess = sum(x for x in b if x > 0)
     sources = [s for s in range(n) if b[s] > 0]
     deficits = sum(1 for x in b if x < 0)   # a node never becomes a deficit again
-    # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0.  Dense problems
-    # keep pi an int64 array while it fits; a phase on a tentative loop
-    # makes it a list of ints, which may outgrow int64
+    # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0.  pi is an int64
+    # array while the pre-pass runs, else a list of ints, which may outgrow it
     pi: np.ndarray | list[int] = np.zeros(n, dtype=np.int64) if dense else [0] * n
     phases = augmentations = 0
     max_aug = 4 * (n + len(cost)) + 16
@@ -242,27 +246,12 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         via: list[int | None] = [None] * n   # tree arc into each node
         sources = [s for s in sources if excess[s] > 0]
         reached: list[int] = []   # deficit nodes in settle order
-        # the pre-pass drops only arcs that cannot be tight
-        found = prepass.tight_arcs(pi, sources, backward) if prepass is not None else None
-        if found is None:
-            if forward is None:
-                forward = [[] for _ in range(n)]
-                for u, entry in zip(tails, zip(heads, cost, range(len(cost)))):
-                    forward[u].append(entry)
-            scan = forward
-            first_offer = False
-        else:
-            scan, label = found
-            lab = label.tolist()
-            # a saturated label is not exact, so the first-offer loop needs
-            # every deficit below the cap; a saturated node elsewhere is
-            # pushed but never settled
-            first_offer = label.max() < _LABEL_CAP or all(
-                x < _LABEL_CAP for x, ex in zip(lab, excess) if ex < 0)
-        if first_offer:
+        found = prepass.tight_arcs(pi, sources, backward, excess) if prepass is not None else None
+        if found is not None:
             # every listed arc is tight, so the first arc to reach a node
             # offers its exact label: the node is pushed once, at that label,
             # with that arc as its tree arc, and no entry goes stale
+            scan, label = found
             offered = [False] * n
             for s in sources:
                 offered[s] = True
@@ -280,7 +269,7 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                     reached.append(v)
                     if len(reached) == deficits:
                         break
-                for w, _, e in scan[v]:
+                for w, e in scan[v]:
                     if not offered[w]:
                         offered[w] = True
                         via[w] = e
@@ -292,10 +281,16 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                             via[w] = e
                             heappush(pq, rank[w])
             # every node below the last label is settled at its label
-            pi = pi + np.minimum(label, lab[v])
+            pi = pi + np.minimum(label, label[v])
         else:
-            if not isinstance(pi, list):
-                pi = pi.tolist()
+            # a phase the pre-pass gives up on leaves a potential at or past
+            # the cap, and potentials only rise, so the pre-pass is dropped
+            if prepass is not None:
+                prepass, pi = None, pi.tolist()
+            if forward is None:
+                forward = [[] for _ in range(n)]
+                for u, entry in zip(tails, zip(heads, cost, range(len(cost)))):
+                    forward[u].append(entry)
             dist: list[float] = [math.inf] * n
             for s in sources:
                 dist[s] = 0
@@ -313,7 +308,7 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                     if len(reached) == deficits:
                         break
                 base = dv + pi[v]
-                for w, c, e in scan[v]:
+                for w, c, e in forward[v]:
                     nd = base + c - pi[w]
                     if nd < dist[w]:
                         dist[w] = nd
@@ -330,8 +325,6 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             # settled nodes move by their distance, the rest by the last one,
             # which zeroes the reduced cost of every tree arc
             pi = [p + (dv if dv < last else last) for p, dv in zip(pi, dist)]
-            if prepass is not None and max(pi) <= _LABEL_CAP:
-                pi = np.array(pi, dtype=np.int64)
         if not reached:
             raise ContractError("flow problem is infeasible: a deficit node is unreachable")
 
@@ -415,18 +408,16 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
 class _LabelPrepass:
     """Exact phase labels with array code, for dense solve_flow instances.
 
-    Each phase it returns every node's label and its forward arcs that can
-    be tight, label[u] + rc(u, w) == label[w], in stable head order.  Over
-    those arcs the first arc to reach a node offers exactly its label, so
-    the first-offer loop pushes each node once, at that label; the module
+    Each phase it returns every node's label and its tight forward arcs,
+    label[u] + rc(u, w) == label[w], in stable head order.  Over those
+    arcs the first arc to reach a node offers exactly its label, so the
+    first-offer loop pushes each node once, at that label; the module
     docstring says why that settles the nodes of a full scan in its order.
     Components of the flow support share one label, so the Bellman-Ford
     rounds run on contracted arcs, and backward arcs, which lie inside a
-    component, are always scanned.  Labels saturate at _LABEL_CAP: a label
-    below it is exact, and every arc into a saturated (or unreached) node
-    is kept, so a phase with a saturated deficit can run the tentative
-    loop over the same lists.  When a potential exceeds _LABEL_CAP it
-    returns None and the phase scans every arc.
+    component, are always scanned.  It returns None, and the phase scans
+    every arc, when a potential exceeds _LABEL_CAP or a deficit's label
+    saturates there.
     """
 
     def __init__(self, arcs: np.ndarray, cost: np.ndarray):
@@ -435,20 +426,17 @@ class _LabelPrepass:
         order = np.argsort(arcs[:, 1], kind="stable")
         self.tails, self.heads = arcs[order].T
         self.cost = cost[order]
-        self.entries = list(zip(self.heads.tolist(), self.cost.tolist(), order.tolist()))
+        self.entries = list(zip(self.heads.tolist(), order.tolist()))
         self.starts = np.flatnonzero(np.concatenate([[True], self.heads[1:] != self.heads[:-1]]))
         self.run_heads = self.heads[self.starts]
 
-    def tight_arcs(self, pi: np.ndarray | list[int], sources: list[int],
-                   backward: list[dict[int, tuple[int, int, int]]]
-                   ) -> tuple[list[list[tuple[int, int, int]]], np.ndarray] | None:
-        """Each node's forward residual arcs that can be tight, and its label; or None.
-
-        pi is an int64 array, or a list once it may have outgrown int64.
-        """
+    def tight_arcs(self, pi: np.ndarray, sources: list[int],
+                   backward: list[dict[int, tuple[int, int, int]]], excess: list[int]
+                   ) -> tuple[list[list[tuple[int, int]]], np.ndarray] | None:
+        """Each node's tight forward residual arcs and its exact label, or None."""
         # the sources keep pi = 0, so max(pi) is its spread: reduced costs are
         # then below 2**62, and a label plus a reduced cost stays below 2**63
-        if isinstance(pi, list) or pi.max() > _LABEL_CAP:
+        if pi.max() > _LABEL_CAP:
             return None
         n = len(pi)
         # union-find over the flow arcs, the lower root on top, so that one
@@ -486,10 +474,13 @@ class _LabelPrepass:
                 break
             np.minimum.at(label, run_comp, best)
 
-        # tight under saturation, so every arc into a saturated node is kept
         node = label[comp]
-        kept = np.flatnonzero(np.minimum(offer, _LABEL_CAP) == node[self.heads])
-        scan: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        # a saturated label is not exact, and the first-offer loop settles
+        # no node at the cap unless it is a deficit
+        if any(excess[x] < 0 for x in np.flatnonzero(node == _LABEL_CAP).tolist()):
+            return None
+        kept = np.flatnonzero(offer == node[self.heads])
+        scan: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         entries = self.entries
         for u, i in zip(self.tails[kept].tolist(), kept.tolist()):
             scan[u].append(entries[i])
@@ -606,7 +597,7 @@ class _Simplex:
             if candidates.size:
                 j = int(candidates[0]) if bland else int(candidates[np.argmin(rc[candidates])])
                 d = Binv @ self.A[:, j]
-                pos = np.nonzero(d > PIVOT_TOL)[0]
+                pos = np.nonzero(d > max(PIVOT_TOL, PIVOT_REL * np.abs(d).max(initial=0.0)))[0]
             if not candidates.size or not pos.size:
                 if pivots:
                     # recheck the verdict on a fresh inverse, as the same iteration
@@ -705,8 +696,11 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
     if artificial_rows.size:
         c_phase1 = (~allowed).astype(float)
         status, xB = sx.run(c_phase1, allowed)
+        # the phase-1 objective is bounded below by 0: no usable pivot was left
+        if status == "unbounded":
+            raise SolverError("phase 1 found no usable pivot for an improving column")
         phase1_obj = float(c_phase1[sx.basis] @ np.maximum(xB, 0.0))
-        if status != "optimal" or phase1_obj > feas_tol:
+        if phase1_obj > feas_tol:
             return LPResult("infeasible", None, None, None, sx.iterations)
         # pivot leftover artificials out, or drop their rows as redundant;
         # each pivot changes the basis that the next row's solve reads

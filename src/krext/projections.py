@@ -334,6 +334,16 @@ def projection_to_gentle(p: RandomProjection) -> GentlePartition:
 # explicit construction for separated subsets
 
 
+def _check_subset_of(space: FiniteMetricSpace, subset: Subspace) -> None:
+    if subset.parent != space:
+        raise ContractError("subset belongs to a different space")
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractError("eps must be a positive real")
+
+
 def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
                                 eps: float, t0: int,
                                 tol: float = 1e-9) -> RandomProjection:
@@ -346,10 +356,8 @@ def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
     the subset diameter.
     """
     check_tol(tol)
-    if subset.parent != space:
-        raise ContractError("subset belongs to a different space")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ContractError("eps must be a positive real")
+    _check_subset_of(space, subset)
+    _check_eps(eps)
     members = np.array(subset.members)
     if t0 not in subset.members:
         raise ContractError(f"reference point {t0} is not a subset member")
@@ -377,10 +385,8 @@ def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
 
 def uniform_discrete_bound(space: FiniteMetricSpace, subset: Subspace, eps: float) -> float:
     """The 2*max(D, eps)/eps guarantee for the two-atom construction."""
-    if subset.parent != space:
-        raise ContractError("subset belongs to a different space")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ContractError("eps must be a positive real")
+    _check_subset_of(space, subset)
+    _check_eps(eps)
     members = list(subset.members)
     diam = float(np.max(space.dist[np.ix_(members, members)]))
     return 2.0 * max(diam, eps) / eps
@@ -417,8 +423,7 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     check_tol(tol)
     if mode not in ("strong", "signed"):
         raise ContractError(f"mode must be 'strong' or 'signed', got {mode!r}")
-    if subset.parent != space:
-        raise ContractError("subset belongs to a different space")
+    _check_subset_of(space, subset)
     n = space.n
     strong = mode == "strong"
     # K* is dimensionless: the master lives on d / 2^e, 2^e the least power of

@@ -10,6 +10,13 @@ geometric structure at all.
 from __future__ import annotations
 
 import math
+import os
+
+# one BLAS thread, as CI and the benchmark run: the simplex's pivots can depend
+# on the thread count, so every run of the suite takes the same ones.  OpenBLAS
+# reads these once, when numpy loads, which is below
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

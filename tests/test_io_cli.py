@@ -18,10 +18,14 @@ from krext import (
     RandomProjection,
     SignedMeasure,
     SolverError,
+    gentle_constant,
+    gentle_to_projection,
     identity_projection,
     projection_constant,
     projection_to_gentle,
     subspace_from_labels,
+    uniform_discrete_bound,
+    uniform_discrete_projection,
     weighted_tv_constant,
 )
 from test_metric import three_point
@@ -243,6 +247,53 @@ def proj_file(files) -> str:
             "rows": {"c": {"a": 0.4, "b": 0.6}},
         })
     return str(path)
+
+
+def test_cli_gentle2proj_is_a_thin_wrapper(files, capsys):
+    path = files["dir"] / "g.json"
+    p = kio.load_projection(proj_file(files), expected_space=files["space"])
+    kio.write_json(path, {**kio.dump_gentle(projection_to_gentle(p)), "space": "space.json"})
+    code, out, _ = run_cli(capsys, "gentle2proj", files["space.json"], str(path))
+    assert code == 0
+    g = kio.load_gentle(str(path), expected_space=files["space"])
+    q = gentle_to_projection(g)
+    assert out == kio.to_json_text({
+        "projection": kio.dump_projection(q),
+        "gentle_constant": float(gentle_constant(g)),
+        "projection_constant": float(projection_constant(q, tol=1e-9)),
+    })
+
+
+def test_cli_proj2gentle_is_a_thin_wrapper(files, capsys):
+    code, out, _ = run_cli(capsys, "proj2gentle", files["space.json"], proj_file(files))
+    assert code == 0
+    p = kio.load_projection(proj_file(files), expected_space=files["space"])
+    g = projection_to_gentle(p)
+    assert out == kio.to_json_text({
+        "gentle": kio.dump_gentle(g),
+        "weighted_tv_constant": float(weighted_tv_constant(p)),
+        "gentle_constant": float(gentle_constant(g)),
+    })
+
+
+def test_cli_udp_is_a_thin_wrapper(files, capsys):
+    code, out, _ = run_cli(capsys, "udp", files["space.json"], "--subset", "a,c", "--eps", "2", "--t0", "a")
+    assert code == 0
+    space = files["space"]
+    subset = subspace_from_labels(space, ["a", "c"])
+    p = uniform_discrete_projection(space, subset, eps=2.0, t0=0, tol=1e-9)
+    assert out == kio.to_json_text({
+        "projection": kio.dump_projection(p),
+        "bound": float(uniform_discrete_bound(space, subset, 2.0)),
+        "projection_constant": float(projection_constant(p, tol=1e-9)),
+    })
+
+
+def test_cli_udp_on_a_subset_that_is_not_separated_exits_one(files, capsys):
+    # d(a, b) = 1 < eps = 2
+    code, out, err = run_cli(capsys, "udp", files["space.json"], "--subset", "a,b", "--eps", "2", "--t0", "a")
+    assert code == 1 and out == ""
+    assert "subset is not 2.0-separated" in err
 
 
 def test_cli_validate_failure_exits_one(files, capsys, tmp_path):

@@ -15,13 +15,14 @@ import krext.extension as extension
 import krext.optim as optim
 import krext.transport as transport
 from conftest import (
+    rand_repaired_space,
     rand_signed_projection,
     rand_space,
     rand_strong_projection,
     rand_subspace,
     synthesis_lp_loops,
 )
-from krext import ContractError, SignedMeasure, SolverError, kr_norm, operator_norm
+from krext import ContractError, SignedMeasure, SolverError, Subspace, kr_norm, operator_norm
 from krext.optim import (
     FlowProblem,
     FlowResult,
@@ -502,12 +503,8 @@ def test_first_offer_phases_match_the_full_scan_where_labels_tie(monkeypatch):
         assert (dense.phases, dense.augmentations) == (full.phases, full.augmentations)
 
 
-def test_flow_keeps_exact_paths_when_labels_outgrow_the_int64_headroom(monkeypatch):
-    # a circulant digraph, each node with arcs to its next 17: dense but not
-    # complete, so mass crosses it in up to 10 hops and the shortest-path
-    # labels pass 4x the largest cost: the first phase saturates labels,
-    # and the later ones lack the headroom and scan every arc
-    prepass = count_prepass_phases(monkeypatch)
+def _circulant_problem(sinks):
+    """A circulant digraph, each node with arcs to its next 17: dense but not complete."""
     rng = np.random.default_rng(65)
     n, reach = 160, 17
     u = np.repeat(np.arange(n), reach)
@@ -515,11 +512,38 @@ def test_flow_keeps_exact_paths_when_labels_outgrow_the_int64_headroom(monkeypat
     costs = rng.uniform(1.0, 2.0, u.size)
     supplies = np.zeros(n)
     supplies[[0, 1, 2]] = [1.5, 1.0, 0.5]
-    supplies[[80, 120, 155, 159]] = [-0.5, -0.75, -0.75, -1.0]
-    problem = FlowProblem(n, supplies, np.column_stack([u, v]), costs)
+    supplies[sinks] = [-0.5, -0.75, -0.75, -1.0]
+    return FlowProblem(n, supplies, np.column_stack([u, v]), costs)
+
+
+def test_flow_keeps_exact_paths_when_labels_outgrow_the_int64_headroom(monkeypatch):
+    # mass crosses the circulant in up to 10 hops, so the shortest-path
+    # labels pass 4x the largest cost: in the first phase the deficits'
+    # labels saturate, the pre-pass gives up, and every phase scans every arc
+    prepass = count_prepass_phases(monkeypatch)
+    problem = _circulant_problem([80, 120, 155, 159])
     res = assert_same_flow(problem, exact_path=True)
-    assert np.ptp(res.potentials) > 4.0 * costs.max()
-    assert prepass == [True] + [False] * (res.phases - 1)
+    assert np.ptp(res.potentials) > 4.0 * problem.costs.max()
+    assert res.phases > 1
+    assert prepass == [False]
+
+
+def test_first_offer_phases_skip_saturated_nodes_that_are_not_deficits(monkeypatch):
+    # the sinks lie one hop from the sources, so their labels are exact while
+    # the far side of the circulant saturates: every phase stays first-offer
+    labels = []
+    real = optim._LabelPrepass.tight_arcs
+
+    def spy(self, *args):
+        found = real(self, *args)
+        labels.append(None if found is None else found[1])
+        return found
+
+    monkeypatch.setattr(optim._LabelPrepass, "tight_arcs", spy)
+    res = assert_same_flow(_circulant_problem([8, 12, 15, 17]), exact_path=True)
+    assert len(labels) == res.phases > 1
+    assert all(label is not None for label in labels)
+    assert labels[0].max() == optim._LABEL_CAP
 
 
 def test_flow_matches_the_paired_edge_reference_on_the_grid_metric():
@@ -648,6 +672,12 @@ def test_lp_unbounded_detected():
     assert solve_lp(lp).status == "unbounded"
 
 
+def test_lp_without_rows_is_unbounded_in_a_descent_direction():
+    # the entering column is empty, so the ratio test has no entry to scale its threshold by
+    lp = LinearProgram(np.array([-1.0]), np.zeros((0, 1)), (), np.zeros(0))
+    assert solve_lp(lp).status == "unbounded"
+
+
 def test_lp_reproduces_kr_norm():
     """maximize sum mu_i g_i over 1-Lipschitz g vanishing at the basepoint."""
     space = three_point()
@@ -743,14 +773,17 @@ def test_lp_rejects_an_upper_bound_without_a_lower_bound():
                       lb=np.array([-np.inf]), ub=np.array([3.0]))
 
 
-def test_lp_degenerate_instance_terminates():
-    # many redundant rows meeting at one vertex: stalls Dantzig, Bland must finish
+def stacked_degenerate_lp():
+    """Many redundant rows meeting at one vertex, where every pivot is degenerate."""
     n = 4
     A = np.vstack([np.eye(n), np.eye(n), np.ones((1, n))])
     senses = ("<=",) * (2 * n) + ("<=",)
     b = np.concatenate([np.zeros(2 * n), [0.0]])
-    lp = LinearProgram(-np.ones(n), A, senses, b)
-    res = solve_lp(lp)
+    return LinearProgram(-np.ones(n), A, senses, b)
+
+
+def test_lp_degenerate_instance_terminates():
+    res = solve_lp(stacked_degenerate_lp())
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.0, abs=1e-12)
 
@@ -844,8 +877,10 @@ def solve_lp_loops(problem, tol=1e-9):
         allowed1 = np.zeros(ntot, dtype=bool)
         allowed1[:nreal] = True
         status, xB = sx.run(c_phase1, allowed1)
+        if status == "unbounded":
+            raise SolverError("phase 1 found no usable pivot for an improving column")
         phase1_obj = float(c_phase1[sx.basis] @ np.maximum(xB, 0.0))
-        if status != "optimal" or phase1_obj > feas_tol:
+        if phase1_obj > feas_tol:
             return LPResult("infeasible", None, None, None, sx.iterations)
         art_set = set(artificial_cols)
         drop_rows = []
@@ -1015,6 +1050,34 @@ def test_lp_matches_the_loop_reference_on_random_programs():
     statuses = [assert_same_lp(lp) for lp in random_lps()]
     counts = {s: statuses.count(s) for s in set(statuses)}
     assert counts["optimal"] >= 200 and counts["infeasible"] >= 100 and counts["unbounded"] >= 100
+
+
+def test_lp_raises_rather_than_call_a_feasible_program_infeasible():
+    # the joint synthesis LP of the (12, 5) sweep's seed-0 repaired space in
+    # signed mode is feasible, as every synthesis LP is, but phase 1 meets an
+    # improving column none of whose pivot entries is usable; phase 1 cannot
+    # be unbounded, so that verdict must not come out as "infeasible"
+    rng = np.random.default_rng(0)
+    space = rand_repaired_space(rng, 12)
+    others = [x for x in range(space.n) if x != space.basepoint]
+    picked = rng.choice(others, 4, replace=False)
+    subset = Subspace(space, tuple(sorted([space.basepoint, *map(int, picked)])))
+    out = _outcome(solve_lp, synthesis_lp_loops(space, subset, "signed"))
+    assert isinstance(out, str) or out.status == "optimal"
+
+
+def test_bland_pricing_reaches_the_default_verdict_on_degenerate_programs(monkeypatch):
+    """STALL_LIMIT = 1 switches pricing to Bland's rule at the first iteration without progress."""
+    lps = [stacked_degenerate_lp(), *synthesis_lps("strong"), *synthesis_lps("signed")]
+    default = [solve_lp(lp) for lp in lps]
+    monkeypatch.setattr(optim, "STALL_LIMIT", 1)
+    bland = [solve_lp(lp) for lp in lps]
+    for lp, got, want in zip(lps, bland, default):
+        assert got.status == want.status == "optimal"
+        bound = 100 * 1e-9 * certification_scale(lp) * (1.0 + abs(want.objective))
+        assert abs(got.objective - want.objective) <= bound
+    # Bland's rule picks other entering columns, so some run takes another path
+    assert any(got.iterations != want.iterations for got, want in zip(bland, default))
 
 
 def certification_scale(lp):

@@ -512,7 +512,7 @@ def test_udp_bound_formula_and_tightness():
     assert pc == pytest.approx(2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("construction", ["bound", "projection"])
+@pytest.mark.parametrize("construction", ["bound", "projection", "synthesis"])
 def test_udp_rejects_a_subset_of_another_space(construction):
     # same labels, other distances: read on the wrong space the bound is
     # 2 * max(2, 1) / 1 = 4, against 18 on the subset's own space
@@ -523,8 +523,22 @@ def test_udp_rejects_a_subset_of_another_space(construction):
     with pytest.raises(ContractError, match="subset belongs to a different space"):
         if construction == "bound":
             uniform_discrete_bound(near, sub, eps=1.0)
-        else:
+        elif construction == "projection":
             uniform_discrete_projection(near, sub, eps=1.0, t0=0)
+        else:
+            synthesize_min_k(near, sub)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("construction", ["bound", "projection"])
+def test_udp_rejects_an_eps_that_is_not_a_positive_real(construction, eps):
+    space = FiniteMetricSpace(("a", "b", "c"), [[0, 5, 9], [5, 0, 5], [9, 5, 0]])
+    sub = Subspace(space, (0, 2))
+    with pytest.raises(ContractError, match="eps must be a positive real"):
+        if construction == "bound":
+            uniform_discrete_bound(space, sub, eps=eps)
+        else:
+            uniform_discrete_projection(space, sub, eps=eps, t0=0)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -741,6 +755,35 @@ def test_synthesis_solves_every_case_of_the_12_5_sweep(sweep_12_5):
 def test_synthesis_matches_highs_on_the_12_5_sweep(sweep_12_5):
     for space, subset, mode, res in sweep_12_5:
         assert res.k_star == pytest.approx(highs_lp_value(synthesis_lp_loops(space, subset, mode)), rel=1e-8)
+
+
+@pytest.fixture(scope="module")
+def synthesis_30_8():
+    """Seed-1 strong synthesis at (30, 8), by the subset rule of sweep_12_5, with its masters.
+
+    With one BLAS thread, its sixth master, 318 x 177, made the simplex
+    pivot on a tiny entry of the entering column and return a basis that
+    failed certification.
+    """
+    rng = np.random.default_rng(1)
+    space = rand_space(rng, 30)
+    others = [x for x in range(space.n) if x != space.basepoint]
+    picked = rng.choice(others, 7, replace=False)
+    subset = Subspace(space, tuple(sorted([space.basepoint, *map(int, picked)])))
+    out = []
+    masters = captured_lps(projections, lambda: out.append(synthesize_min_k(space, subset)))
+    return out[0], masters
+
+
+def test_synthesis_solves_the_30_8_case_whose_pivots_were_unstable(synthesis_30_8):
+    res, masters = synthesis_30_8
+    assert len(masters) >= 6
+    assert projection_constant(res.projection) == res.k_star >= 1.0
+
+
+def test_synthesis_matches_highs_on_the_final_30_8_master(synthesis_30_8):
+    res, masters = synthesis_30_8
+    assert res.k_star == pytest.approx(highs_lp_value(masters[-1]), rel=1e-8)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(-80, 80), st.sampled_from(["strong", "signed"]))
