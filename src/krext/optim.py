@@ -111,8 +111,9 @@ PIVOT_TOL = 1e-10
 PIVOT_REL = 1e-9
 # hard iteration cap, a safety net on top of the Bland fallback
 MAX_ITERATIONS = 200_000
-# iterations without relative objective progress above STALL_PROGRESS
-# before pricing switches from Dantzig to Bland's rule
+# iterations without relative progress above STALL_PROGRESS past the best
+# objective so far (not the last one, whose rounding jitter in a cycle would
+# keep resetting the count) before pricing switches from Dantzig to Bland's rule
 STALL_LIMIT = 120
 STALL_PROGRESS = 1e-13
 # pivots between two fresh basis inverses in _Simplex.run.  Each rank-one
@@ -582,7 +583,7 @@ class _Simplex:
         """
         bland = False
         stall = 0
-        last_obj = None
+        best_obj = None
         Binv = self._inverse()
         pivots = 0   # since Binv was formed
         while True:
@@ -612,13 +613,12 @@ class _Simplex:
             # Bland tie break: leave the smallest column index
             leave_row = min(ties, key=lambda r: self.basis[int(r)])
             obj = float(c[self.basis] @ xB)
-            if last_obj is not None and obj > last_obj - STALL_PROGRESS * (1.0 + abs(last_obj)):
+            if best_obj is not None and obj > best_obj - STALL_PROGRESS * (1.0 + abs(best_obj)):
                 stall += 1
                 if stall >= STALL_LIMIT:
                     bland = True
             else:
-                stall = 0
-            last_obj = obj
+                stall, best_obj = 0, obj
             self.basis[int(leave_row)] = j
             pivots += 1
             if pivots == REFACTOR:

@@ -412,13 +412,15 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     sum_a f(a) * (rows[x](a) - rows[y](a)) <= K * d(x, y), valid for every
     projection and tight at the current one.  From the nearest-member
     retraction and K_lb = 1, each round adds the cut of every pair whose
-    quotient exceeds K_lb*(1 + tol); the master LP in K and the exterior
-    coefficients (mass 1 per exterior row, K >= 1, the cuts) then gives
-    the next projection and, as a relaxation, the next K_lb.  Once no pair
-    is violated, the largest quotient, the projection's
-    projection_constant, is returned as K*.  Strong mode keeps the
-    coefficients nonnegative; signed mode frees them but pins each row's
-    mass to 1, as the pairing cannot see the basepoint component.
+    quotient exceeds K_lb*(1 + tol); the master LP, min K over the cuts
+    with K >= 1 as a bound, then gives the next projection and, as a
+    relaxation, the next K_lb.  Once no pair is violated, the largest
+    quotient, the projection's projection_constant, is returned as K*.
+    The potentials vanish at the basepoint, so no cut sees an exterior
+    row's basepoint coefficient: the master holds only the others, and the
+    basepoint's is 1 minus their sum, which gives every row mass 1.
+    Signed mode leaves the others free; strong mode keeps them nonnegative
+    with their sum at most 1, so that the basepoint's share is too.
     """
     check_tol(tol)
     if mode not in ("strong", "signed"):
@@ -433,22 +435,25 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     d = np.ldexp(space.dist, -e)
     members = list(subset.members)
     m = len(members)
-    exterior = np.delete(np.arange(n), members)   # np.setdiff1d would import numpy.ma
+    base = members.index(space.basepoint)
+    others = [k for k in range(m) if k != base]
+    exterior = np.array(subset.complement(), dtype=int)
     n_ext = exterior.size
-    # variables: K, then one coefficient per (exterior point, member);
-    # first[x] is the first coefficient column of exterior point x
-    n_vars = 1 + n_ext * m
+    # variables: K >= 1, then one coefficient per (exterior point, member
+    # other than the basepoint); first[x] is the first column of exterior point x
+    n_vars = 1 + n_ext * (m - 1)
     first = np.full(n, -1)
-    first[exterior] = 1 + m * np.arange(n_ext)
+    first[exterior] = 1 + (m - 1) * np.arange(n_ext)
     c = np.zeros(n_vars)
     c[0] = 1.0
     lb = np.zeros(n_vars)
+    lb[0] = 1.0
     if not strong:
         lb[1:] = -np.inf
-    # rows: each exterior row carries total mass 1, K >= 1 (the row c), then the cuts
-    rows = [*np.hstack([np.zeros((n_ext, 1)), np.kron(np.eye(n_ext), np.ones(m))]), c]
-    rhs = [1.0] * (n_ext + 1)
-    senses = ("==",) * n_ext + (">=",)
+    # rows: in strong mode, the others of each exterior row sum to at most 1,
+    # the slack being its basepoint coefficient; then the cuts
+    rows = [*np.hstack([np.zeros((n_ext, 1)), np.kron(np.eye(n_ext), np.ones(m - 1))])] if strong else []
+    rhs = [1.0] * len(rows)
     # the first projection is the nearest-member retraction (ties: the lowest index)
     coeffs = (np.argmin(d[:, members], axis=1)[:, None] == np.arange(m)).astype(float)
     k_lb = 1.0
@@ -475,15 +480,15 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
                 if first[point] < 0:   # a member's row is its own point mass
                     bound -= sign * f[point]
                 else:
-                    row[first[point]:first[point] + m] = sign * f[members]
+                    row[first[point]:first[point] + m - 1] = sign * f[members][others]
             rows.append(row)
             rhs.append(bound)
-        senses += ("<=",) * violated.size
-        res = solve_lp(LinearProgram(c, np.array(rows), senses, np.array(rhs), lb), tol=tol)
+        res = solve_lp(LinearProgram(c, np.array(rows), ("<=",) * len(rows), np.array(rhs), lb), tol=tol)
         if res.status != "optimal":
             raise SolverError(f"synthesis master LP ended {res.status} on |X|={n}, |M|={m}, mode={mode}")
         k_lb = res.objective
-        coeffs[exterior] = res.x[1:].reshape(n_ext, m)
+        coeffs[np.ix_(exterior, others)] = res.x[1:].reshape(n_ext, m - 1)
+        coeffs[exterior, base] = 1.0 - coeffs[np.ix_(exterior, others)].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

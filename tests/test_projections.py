@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from krext import (
     uniform_discrete_projection,
     weighted_tv_constant,
 )
-from krext import projections
+from krext import optim, projections
 from krext.optim import LinearProgram, solve_lp
 from test_metric import three_point
 from test_optim import captured_lps
@@ -651,8 +652,8 @@ def test_synthesis_raises_when_its_master_violates_a_held_cut(monkeypatch):
     # a master that drops its cuts returns the projection it returned
     # before, whose violated pairs already have their cuts
     def without_cuts(lp, **kwargs):
-        keep = [i for i, sense in enumerate(lp.senses) if sense != "<="]
-        return solve_lp(LinearProgram(lp.c, lp.A[keep], tuple(lp.senses[i] for i in keep),
+        keep = lp.A[:, 0] == 0.0   # every cut holds K
+        return solve_lp(LinearProgram(lp.c, lp.A[keep], tuple(np.array(lp.senses)[keep]),
                                       lp.b[keep], lp.lb), **kwargs)
 
     monkeypatch.setattr(projections, "solve_lp", without_cuts)
@@ -759,12 +760,7 @@ def test_synthesis_matches_highs_on_the_12_5_sweep(sweep_12_5):
 
 @pytest.fixture(scope="module")
 def synthesis_30_8():
-    """Seed-1 strong synthesis at (30, 8), by the subset rule of sweep_12_5, with its masters.
-
-    With one BLAS thread, its sixth master, 318 x 177, made the simplex
-    pivot on a tiny entry of the entering column and return a basis that
-    failed certification.
-    """
+    """Seed-1 strong synthesis at (30, 8), by the subset rule of sweep_12_5, with its masters."""
     rng = np.random.default_rng(1)
     space = rand_space(rng, 30)
     others = [x for x in range(space.n) if x != space.basepoint]
@@ -776,6 +772,13 @@ def synthesis_30_8():
 
 
 def test_synthesis_solves_the_30_8_case_whose_pivots_were_unstable(synthesis_30_8):
+    """With one BLAS thread, this case once failed certification.
+
+    The master then held basepoint columns, mass equalities and the row
+    K >= 1, and its sixth, 318 x 177, made the simplex pivot on a tiny
+    entry of the entering column.  The current masters are smaller and
+    never build that LP, which tests/data keeps for the pivot test below.
+    """
     res, masters = synthesis_30_8
     assert len(masters) >= 6
     assert projection_constant(res.projection) == res.k_star >= 1.0
@@ -784,6 +787,71 @@ def test_synthesis_solves_the_30_8_case_whose_pivots_were_unstable(synthesis_30_
 def test_synthesis_matches_highs_on_the_final_30_8_master(synthesis_30_8):
     res, masters = synthesis_30_8
     assert res.k_star == pytest.approx(highs_lp_value(masters[-1]), rel=1e-8)
+
+
+def saved_master(name):
+    """A synthesis master LP kept in tests/data as a compressed .npz file.
+
+    Both files hold masters of the earlier formulation, with basepoint
+    columns, one mass equality per exterior point and the row K >= 1,
+    captured with one BLAS thread.
+    """
+    with np.load(Path(__file__).parent / "data" / f"{name}.npz") as z:
+        return LinearProgram(z["c"], z["A"], tuple(z["senses"].tolist()), z["b"], z["lb"])
+
+
+def test_lp_solves_the_30_8_master_that_needs_the_relative_pivot_threshold(monkeypatch):
+    # the sixth master of the seed-1 strong (30, 8) synthesis, 318 x 177;
+    # without PIVOT_REL it fails certification ("primal 2.92e+00")
+    lp = saved_master("master_30_8_tiny_pivot")
+    assert solve_lp(lp).objective == pytest.approx(1.113612034283317, rel=1e-8)   # HiGHS
+    monkeypatch.setattr(optim, "PIVOT_REL", 0.0)
+    with pytest.raises(SolverError, match="certification"):
+        solve_lp(lp)
+
+
+def test_lp_solves_the_14_11_master_on_which_dantzig_pricing_cycled():
+    # the 16th master of the strong synthesis on rand_repaired_space(rng(0), 14),
+    # members 0-10, 206 x 34: Dantzig pricing cycles on it, and when stalls
+    # were counted against the last objective, rounding jitter kept Bland's
+    # rule off until MAX_ITERATIONS
+    lp = saved_master("master_14_11_dantzig_cycle")
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(highs_lp_value(lp), rel=1e-8)
+
+
+def test_synthesis_completes_the_14_11_case_whose_master_cycled():
+    space = rand_repaired_space(np.random.default_rng(0), 14)
+    subset = Subspace(space, tuple(range(11)))
+    res = synthesize_min_k(space, subset)
+    assert projection_constant(res.projection) == res.k_star
+    assert res.k_star == pytest.approx(highs_lp_value(synthesis_lp_loops(space, subset, "strong")), rel=1e-8)
+
+
+@pytest.mark.parametrize("mode", ["strong", "signed"])
+def test_synthesis_masters_hold_no_basepoint_column_and_only_cuts(mode):
+    # K >= 1 is a bound, each exterior row's basepoint coefficient is 1 minus
+    # the others, and strong mode's only other rows keep that coefficient >= 0
+    rng = np.random.default_rng(47)
+    masters = 0
+    for t in range(12):
+        make = rand_space if t % 2 == 0 else rand_repaired_space
+        space = make(rng, int(rng.integers(4, 10)))
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
+        out = []
+        lps = captured_lps(projections, lambda: out.append(synthesize_min_k(space, subset, mode=mode)))
+        n_ext = space.n - subset.size
+        masters += len(lps)
+        for lp in lps:
+            assert set(lp.senses) == {"<="}
+            assert lp.lb[0] == 1.0
+            assert lp.A.shape[1] == 1 + n_ext * (subset.size - 1)
+        coeffs = out[0].projection.coeffs
+        assert np.all(np.abs(coeffs.sum(axis=1) - 1.0) <= 1e-12)
+        if mode == "strong":
+            assert coeffs.min() >= -projections._VALID_TOL
+    assert masters >= 20
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(-80, 80), st.sampled_from(["strong", "signed"]))
