@@ -11,6 +11,7 @@ silently re-indexed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -29,7 +30,10 @@ class SignedMeasure:
     def __post_init__(self):
         clean: dict[int, float] = {}
         for k, v in self.coeff.items():
-            i = int(k)
+            try:
+                i = operator.index(k)
+            except TypeError:
+                raise ContractError(f"coefficient index {k!r} is not an integer") from None
             if not (0 <= i < self.space.n):
                 raise ContractError(f"coefficient index {i} out of range")
             x = float(v)

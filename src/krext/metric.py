@@ -10,6 +10,7 @@ can inspect broken inputs instead of just rejecting them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -54,8 +55,15 @@ class FiniteMetricSpace:
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
-        if not (0 <= self.basepoint < len(labels)):
-            raise MalformedInputError(f"basepoint index {self.basepoint} out of range")
+        try:
+            basepoint = operator.index(self.basepoint)
+        except TypeError:
+            raise MalformedInputError(
+                f"basepoint must be an integer index, got {self.basepoint!r}"
+            ) from None
+        if not (0 <= basepoint < len(labels)):
+            raise MalformedInputError(f"basepoint index {basepoint} out of range")
+        object.__setattr__(self, "basepoint", basepoint)
 
     @property
     def n(self) -> int:
@@ -177,7 +185,12 @@ class Subspace:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(int(m) for m in self.members))
+        try:
+            mem = tuple(sorted(operator.index(m) for m in self.members))
+        except TypeError:
+            raise ContractError(
+                f"subspace members must be integer indices, got {self.members!r}"
+            ) from None
         if len(set(mem)) != len(mem):
             raise ContractError("subspace members must be distinct")
         if not mem:
@@ -222,32 +235,29 @@ def subspace_from_labels(space: FiniteMetricSpace, labels: Iterable[str]) -> Sub
 def doubling_estimate(space: FiniteMetricSpace) -> int:
     """Greedy upper bound on the doubling constant of the space.
 
-    For every center c and every radius r drawn from the pairwise
-    distances, the ball B(c, r) is covered greedily by balls of radius
-    r/2 centered at points of the space: repeatedly grab the uncovered
-    point farthest from c (lowest index on ties) and cover around it.
-    The reported value is the worst greedy count, which dominates the
-    optimal cover count ball by ball, hence is an upper bound on the
-    doubling constant restricted to point-centered balls.  Always >= 1.
+    For every center c and every radius r among c's own positive
+    distances d(c, x), x != c, the ball B(c, r) is covered greedily by
+    balls of radius r/2 centered at points of the space: repeatedly grab
+    the uncovered point farthest from c (lowest index on ties) and cover
+    around it.  The worst greedy count dominates the optimal cover count
+    ball by ball.  B(c, r) changes only when r crosses a distance of c,
+    and while it is fixed its optimal cover count can only fall as r
+    grows, so the value bounds the doubling constant restricted to
+    point-centered balls.  Always >= 1.
     """
     d = space.dist
     n = space.n
-    upper = d[np.triu_indices(n, 1)]
-    # the distinct radii, sorted and deduplicated by hand: np.unique
-    # imports numpy.ma, some 20 ms of start-up for a CLI process
-    radii = np.sort(upper[upper > 0])
-    first = np.ones(radii.size, dtype=bool)
-    first[1:] = radii[1:] != radii[:-1]
-    radii = radii[first]
-    half = radii / 2.0
     best = 1
     for c in range(n):
+        radii = d[c][(d[c] > 0) & (np.arange(n) != c)]
+        half = radii / 2.0
         # the uncovered point farthest from c is always the first uncovered
         # one in this fixed order, so every radius walks it together; row r
-        # of the mask is what is left of B(c, radii[r])
+        # of the mask is what is left of B(c, radii[r]) (a repeated radius
+        # repeats a row, so no dedupe)
         uncovered = d[c][None, :] <= radii[:, None]
         count = np.zeros(radii.size, dtype=int)
-        for p in np.lexsort((np.arange(n), -d[c])):
+        for p in np.argsort(-d[c], kind="stable"):
             hit = uncovered[:, p]
             count += hit
             uncovered[hit] &= d[p][None, :] > half[hit, None]

@@ -62,6 +62,17 @@ def test_vector_round_trip_and_mass():
     assert SignedMeasure(space, {1: 3.0}).is_nonnegative()
 
 
+def test_coefficient_indices_must_be_integers():
+    space = three_point()
+    # a float key used to be truncated silently onto point 1
+    for key in (1.7, 1.0, "1"):
+        with pytest.raises(ContractError, match="not an integer"):
+            SignedMeasure(space, {key: 1.0})
+    mu = SignedMeasure(space, {np.int64(1): 1.0, np.uint8(2): -1.0})
+    assert mu.coeff == {1: 1.0, 2: -1.0}
+    assert all(type(i) is int for i in mu.coeff)
+
+
 def test_measures_on_different_spaces_do_not_mix():
     mu = SignedMeasure(three_point(), {1: 1.0})
     eta = SignedMeasure(three_point(), {1: 1.0})

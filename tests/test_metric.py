@@ -244,6 +244,23 @@ def test_structural_errors_raise_immediately():
         FiniteMetricSpace(("a", "b"), np.zeros((2, 2)), basepoint=5)
 
 
+def test_indices_must_be_integers():
+    d = three_point().dist
+    # a float basepoint used to construct, then break repr and kr_norm
+    for basepoint in (1.5, 1.0, "1", None):
+        with pytest.raises(MalformedInputError, match="integer index"):
+            FiniteMetricSpace(("a", "b", "c"), d, basepoint=basepoint)
+    # a float member used to be truncated silently onto point 1
+    for members in ((0, 1.5), (0.0, 2), (0, "1")):
+        with pytest.raises(ContractError, match="integer indices"):
+            Subspace(three_point(), members)
+    space = FiniteMetricSpace(("a", "b", "c"), d, basepoint=np.int64(2))
+    assert type(space.basepoint) is int and repr(space) == "FiniteMetricSpace(n=3, basepoint='c')"
+    assert space == FiniteMetricSpace(("a", "b", "c"), d, basepoint=2)
+    members = Subspace(space, (np.int32(2), np.int64(0))).members
+    assert members == (0, 2) and all(type(m) is int for m in members)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
 @settings(max_examples=40, deadline=None)
 def test_generated_spaces_are_valid(seed, n):
@@ -344,8 +361,8 @@ def doubling_estimate_loops(space: FiniteMetricSpace) -> int:
     d = space.dist
     n = space.n
     best = 1
-    radii = sorted({float(d[i, j]) for i in range(n) for j in range(i + 1, n) if d[i, j] > 0})
     for c in range(n):
+        radii = sorted({float(d[c, x]) for x in range(n) if x != c and d[c, x] > 0})
         for r in radii:
             ball = np.nonzero(d[c] <= r)[0]
             if len(ball) == 0:
@@ -372,16 +389,51 @@ def test_doubling_matches_the_loop_reference():
     for _ in range(150):
         space = integer_space(rng, int(rng.integers(2, 9)), diagonal=(-1, 0))
         assert doubling_estimate(space) == doubling_estimate_loops(space)
-    # radii come from the upper triangle only; the lower one holds 4 here
+    # radii come from row c, the row that builds B(c, r); rows b and c hold 4 here
     d = np.array([[0, 1, 0, 2], [4, 0, 1, 2], [4, 1, 0, 1], [0, 3, 0, 0]], dtype=float)
     space = FiniteMetricSpace(tuple("abcd"), d)
-    assert doubling_estimate(space) == doubling_estimate_loops(space) == 2
+    assert doubling_estimate(space) == doubling_estimate_loops(space) == 3
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_doubling_matches_the_loop_reference_on_grids(k):
     space = grid_space(k)
     assert doubling_estimate(space) == doubling_estimate_loops(space)
+
+
+def doubling_estimate_all_radii(space: FiniteMetricSpace) -> int:
+    """The greedy walk over every distinct pairwise radius at every center.
+
+    Reference on metric inputs: each center's own distances are among
+    these radii, and B(c, r) only changes when r crosses one of them.
+    """
+    d = space.dist
+    n = space.n
+    upper = d[np.triu_indices(n, 1)]
+    radii = np.sort(upper[upper > 0])
+    first = np.ones(radii.size, dtype=bool)
+    first[1:] = radii[1:] != radii[:-1]
+    radii = radii[first]
+    half = radii / 2.0
+    best = 1
+    for c in range(n):
+        uncovered = d[c][None, :] <= radii[:, None]
+        count = np.zeros(radii.size, dtype=int)
+        for p in np.lexsort((np.arange(n), -d[c])):
+            hit = uncovered[:, p]
+            count += hit
+            uncovered[hit] &= d[p][None, :] > half[hit, None]
+        best = max(best, int(count.max(initial=0)))
+    return best
+
+
+def test_doubling_needs_only_each_centers_own_radii_on_metrics():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5, 8, 13, 21, 30, 40):
+        for space in (rand_space(rng, n), rand_repaired_space(rng, n)):
+            assert doubling_estimate(space) == doubling_estimate_all_radii(space)
+    for k in (2, 3, 4, 5):
+        assert doubling_estimate(grid_space(k)) == doubling_estimate_all_radii(grid_space(k))
 
 
 def test_doubling_counts_a_point_its_own_ball_misses_once():
@@ -437,6 +489,10 @@ def test_doubling_dominates_minimal_cover():
     for _ in range(10):
         space = rand_space(rng, int(rng.integers(2, 7)))
         assert doubling_estimate(space) >= _minimal_cover_max(space)
+    for _ in range(10):
+        space = rand_repaired_space(rng, int(rng.integers(2, 7)))
+        assert doubling_estimate(space) >= _minimal_cover_max(space)
+    assert doubling_estimate(grid_space(3)) >= _minimal_cover_max(grid_space(3))
 
 
 def test_doubling_uniform_space_counts_points():

@@ -908,6 +908,19 @@ def test_profile_member_deviations_vanish():
             assert entry.deviations[m] == 0.0
 
 
+def test_profile_exterior_deviations_are_transport_to_the_point():
+    # a probability row has exactly one coupling to a point mass, so the
+    # deviation of x is sum_m rows[x](m) * d(m, x)
+    rng = np.random.default_rng(47)
+    for n in (4, 5, 6, 7, 8, 9):
+        for space in (rand_space(rng, n), rand_repaired_space(rng, n)):
+            for entry in asymptotic_profile(space):
+                proj = synthesize_min_k(space, Subspace(space, entry.members), mode="strong").projection
+                for x in set(range(n)) - set(entry.members):
+                    cost = math.fsum(c * space.d(m, x) for m, c in proj.rows[x].coeff.items())
+                    assert abs(entry.deviations[x] - cost) <= 1e-12 * space.diameter
+
+
 def test_profile_line_matches_independent_synthesis():
     space = line_space(0, 1, 2, 3)
     profile = asymptotic_profile(space)
