@@ -67,7 +67,10 @@ class SignedMeasure:
         return math.fsum(self.coeff.values())
 
     def __getitem__(self, i: int) -> float:
-        return self.coeff.get(int(i), 0.0)
+        try:
+            return self.coeff.get(operator.index(i), 0.0)
+        except TypeError:
+            raise ContractError(f"coefficient index {i!r} is not an integer") from None
 
     def as_vector(self) -> np.ndarray:
         v = np.zeros(self.space.n)

@@ -235,7 +235,7 @@ def subspace_from_labels(space: FiniteMetricSpace, labels: Iterable[str]) -> Sub
 def doubling_estimate(space: FiniteMetricSpace) -> int:
     """Greedy upper bound on the doubling constant of the space.
 
-    For every center c and every radius r among c's own positive
+    For every center c and every radius r among c's own distinct positive
     distances d(c, x), x != c, the ball B(c, r) is covered greedily by
     balls of radius r/2 centered at points of the space: repeatedly grab
     the uncovered point farthest from c (lowest index on ties) and cover
@@ -249,12 +249,13 @@ def doubling_estimate(space: FiniteMetricSpace) -> int:
     n = space.n
     best = 1
     for c in range(n):
-        radii = d[c][(d[c] > 0) & (np.arange(n) != c)]
+        radii = np.sort(d[c][(d[c] > 0) & (np.arange(n) != c)])
+        # the distinct ones, deduped by hand: np.unique imports numpy.ma
+        radii = radii[np.diff(radii, prepend=0.0) > 0]
         half = radii / 2.0
         # the uncovered point farthest from c is always the first uncovered
         # one in this fixed order, so every radius walks it together; row r
-        # of the mask is what is left of B(c, radii[r]) (a repeated radius
-        # repeats a row, so no dedupe)
+        # of the mask is what is left of B(c, radii[r])
         uncovered = d[c][None, :] <= radii[:, None]
         count = np.zeros(radii.size, dtype=int)
         for p in np.argsort(-d[c], kind="stable"):

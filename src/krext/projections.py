@@ -28,6 +28,7 @@ water-filling retraction onto the nonnegative l1 ball.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -518,7 +519,10 @@ def asymptotic_profile(space: FiniteMetricSpace,
     n = space.n
     if order is None:
         order = [space.basepoint] + [x for x in range(n) if x != space.basepoint]
-    order = [int(x) for x in order]
+    try:
+        order = [operator.index(x) for x in order]
+    except TypeError:
+        raise ContractError(f"order must hold integer indices, got {order!r}") from None
     if sorted(order) != list(range(n)):
         raise ContractError("order must be a permutation of all point indices")
     if order[0] != space.basepoint:

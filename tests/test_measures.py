@@ -71,6 +71,11 @@ def test_coefficient_indices_must_be_integers():
     mu = SignedMeasure(space, {np.int64(1): 1.0, np.uint8(2): -1.0})
     assert mu.coeff == {1: 1.0, 2: -1.0}
     assert all(type(i) is int for i in mu.coeff)
+    # lookups too: mu[1.7] used to read point 1
+    for key in (1.7, 1.0, "1"):
+        with pytest.raises(ContractError, match="not an integer"):
+            mu[key]
+    assert mu[np.int64(1)] == 1.0 and mu[0] == 0.0
 
 
 def test_measures_on_different_spaces_do_not_mix():

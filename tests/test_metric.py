@@ -434,6 +434,10 @@ def test_doubling_needs_only_each_centers_own_radii_on_metrics():
             assert doubling_estimate(space) == doubling_estimate_all_radii(space)
     for k in (2, 3, 4, 5):
         assert doubling_estimate(grid_space(k)) == doubling_estimate_all_radii(grid_space(k))
+    # every distance tied: one distinct radius per center
+    for n in (2, 5, 17):
+        space = FiniteMetricSpace(tuple(map(str, range(n))), 1.0 - np.eye(n))
+        assert doubling_estimate(space) == doubling_estimate_all_radii(space) == n
 
 
 def test_doubling_counts_a_point_its_own_ball_misses_once():

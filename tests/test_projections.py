@@ -935,6 +935,11 @@ def test_profile_requires_basepoint_first():
         asymptotic_profile(space, order=[1, 0, 2])
     with pytest.raises(ContractError):
         asymptotic_profile(space, order=[0, 1])  # not a permutation
+    # a float entry used to be truncated, so this ran as [0, 1, 2]
+    with pytest.raises(ContractError, match="integer indices"):
+        asymptotic_profile(space, order=[0, 1.5, 2])
+    assert [e.members for e in asymptotic_profile(space, order=np.array([0, 2, 1]))] == [
+        (0,), (0, 2), (0, 1, 2)]
 
 
 # ---------------------------------------------------------------------------
