@@ -14,32 +14,16 @@ tolerance is relative, so it must be finite and in [1e-15, 1).
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stringio
 import os
 import sys
-import time
-from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import io as kio
 from .errors import ContractError, JsonParseError, SolverError, check_tol
-from .extension import PointFunction, extend_by_projection, lip_norm, mcshane_extend
 from .metric import Subspace, doubling_estimate, subspace_from_labels, validate_metric
-from .projections import (
-    asymptotic_profile,
-    gentle_constant,
-    gentle_to_projection,
-    projection_constant,
-    projection_to_gentle,
-    retract_l1_ball,
-    synthesize_min_k,
-    uniform_discrete_bound,
-    uniform_discrete_projection,
-    weighted_tv_constant,
-)
-from .transport import TransportResult, kr_norm, w1
+
+if TYPE_CHECKING:
+    from .transport import TransportResult
 
 __all__ = ["main"]
 
@@ -184,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns (payload-or-text, exit code)
+# handlers; each returns (payload-or-text, exit code) and imports the
+# library functions it calls, so a subcommand loads only what it runs
 
 
 def _transport_payload(res: TransportResult) -> dict:
@@ -224,6 +209,8 @@ def _cmd_doubling(args, tol):
 
 
 def _cmd_w1(args, tol):
+    from .transport import w1
+
     space = kio.load_space(args.space)
     mu = kio.load_measure(args.mu, expected_space=space)
     eta = kio.load_measure(args.eta, expected_space=space)
@@ -231,12 +218,16 @@ def _cmd_w1(args, tol):
 
 
 def _cmd_krnorm(args, tol):
+    from .transport import kr_norm
+
     space = kio.load_space(args.space)
     mu = kio.load_measure(args.mu, expected_space=space)
     return _transport_payload(kr_norm(mu, tol=tol)), 0
 
 
 def _cmd_mcshane(args, tol):
+    from .extension import lip_norm, mcshane_extend
+
     space = kio.load_space(args.space)
     subset = subspace_from_labels(space, args.subset)
     f = kio.load_function(args.f, expected_space=space, subspace=subset)
@@ -245,6 +236,8 @@ def _cmd_mcshane(args, tol):
 
 
 def _cmd_extend(args, tol):
+    from .extension import extend_by_projection, lip_norm
+
     space = kio.load_space(args.space)
     proj = kio.load_projection(args.proj, expected_space=space)
     f = kio.load_function(args.f, expected_space=space, subspace=proj.subset)
@@ -253,6 +246,8 @@ def _cmd_extend(args, tol):
 
 
 def _cmd_gentle2proj(args, tol):
+    from .projections import gentle_constant, gentle_to_projection, projection_constant
+
     space = kio.load_space(args.space)
     g = kio.load_gentle(args.gentle, expected_space=space)
     p = gentle_to_projection(g)
@@ -264,6 +259,8 @@ def _cmd_gentle2proj(args, tol):
 
 
 def _cmd_proj2gentle(args, tol):
+    from .projections import gentle_constant, projection_to_gentle, weighted_tv_constant
+
     space = kio.load_space(args.space)
     p = kio.load_projection(args.proj, expected_space=space)
     g = projection_to_gentle(p)
@@ -275,6 +272,8 @@ def _cmd_proj2gentle(args, tol):
 
 
 def _cmd_tvconst(args, tol):
+    from .projections import projection_constant, weighted_tv_constant
+
     space = kio.load_space(args.space)
     p = kio.load_projection(args.proj, expected_space=space)
     return {
@@ -284,6 +283,10 @@ def _cmd_tvconst(args, tol):
 
 
 def _cmd_udp(args, tol):
+    from .projections import (
+        projection_constant, uniform_discrete_bound, uniform_discrete_projection,
+    )
+
     space = kio.load_space(args.space)
     subset = subspace_from_labels(space, args.subset)
     t0 = space.index(args.t0)
@@ -296,6 +299,8 @@ def _cmd_udp(args, tol):
 
 
 def _cmd_synthesize(args, tol):
+    from .projections import synthesize_min_k
+
     space = kio.load_space(args.space)
     subset = subspace_from_labels(space, args.subset)
     res = synthesize_min_k(space, subset, mode=args.mode, tol=tol)
@@ -306,6 +311,8 @@ def _cmd_synthesize(args, tol):
 
 
 def _cmd_asymptotic(args, tol):
+    from .projections import asymptotic_profile
+
     space = kio.load_space(args.space)
     order = None
     if args.order is not None:
@@ -326,12 +333,18 @@ def _cmd_asymptotic(args, tol):
 
 
 def _cmd_retract(args, tol):
+    from .projections import retract_l1_ball
+
     y = kio.load_vector(args.vector)
     g, r = retract_l1_ball(y)
     return {"g": float(g), "r": [float(v) for v in r]}, 0
 
 
 def _cmd_shiftbase(args, tol):
+    from pathlib import Path
+
+    from .extension import PointFunction
+
     space = kio.load_space(args.space)
     raw = kio.read_json(args.f)
     if isinstance(raw, dict) and isinstance(raw.get("space"), str):
@@ -352,6 +365,12 @@ def _cmd_shiftbase(args, tol):
 
 
 def _report_rows(space, sizes, seed: int, tol: float) -> list[dict]:
+    import time
+
+    import numpy as np
+
+    from .projections import synthesize_min_k, uniform_discrete_bound, weighted_tv_constant
+
     rng = np.random.default_rng(seed)
     n = space.n
     doubl = int(doubling_estimate(space))
@@ -390,7 +409,10 @@ def _cmd_report(args, tol):
     sizes = args.sizes if args.sizes is not None else list(range(2, min(space.n, 5) + 1))
     rows = _report_rows(space, sizes, seed=args.seed, tol=tol)
     if args.format == "csv":
-        buf = _stringio.StringIO()
+        import csv
+        from io import StringIO
+
+        buf = StringIO()
         writer = csv.DictWriter(buf, fieldnames=_REPORT_COLUMNS)
         writer.writeheader()
         for row in rows:

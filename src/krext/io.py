@@ -6,26 +6,28 @@ function, projection, or partition file names its space either inline
 or as a path relative to the file itself; when the caller already
 holds the space, the referenced one must match it.
 
-Writes go through a temp file and an atomic rename.  Serialized floats
-are rounded to 12 significant digits, below every solver tolerance and
-above float noise.
+Writes go through a temp file and an atomic rename; a path that cannot
+be written is a contract error.  Serialized floats are rounded to 12
+significant digits, below every solver tolerance and above float noise.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import tempfile
+import stat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, JsonParseError, MalformedInputError
-from .extension import PointFunction
-from .measures import SignedMeasure
 from .metric import FiniteMetricSpace, Subspace
-from .projections import GentlePartition, RandomProjection
+
+if TYPE_CHECKING:
+    from .extension import PointFunction
+    from .measures import SignedMeasure
+    from .projections import GentlePartition, RandomProjection
 
 __all__ = [
     "read_json", "round12", "round_floats", "to_json_text",
@@ -73,18 +75,26 @@ def to_json_text(obj) -> str:
 
 
 def atomic_write(path: str | Path, text: str) -> None:
+    """Replace path by text through a new file beside it and a rename.
+
+    The result has the mode a plain open would give: an existing file
+    keeps its own, a new one gets 0o666 less the umask.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
+            with os.fdopen(fd, "w") as handle:
+                if path.is_file():
+                    os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            raise
+    except OSError as exc:  # its message would name the temp file
+        raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -197,6 +207,8 @@ def _label_index(space: FiniteMetricSpace, label, what: str) -> int:
 
 
 def load_measure(source, expected_space: FiniteMetricSpace | None = None) -> SignedMeasure:
+    from .measures import SignedMeasure
+
     obj, base_dir = _read_object(source)
     _check_keys(obj, "measure", ("space", "coeff"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "measure")
@@ -225,6 +237,8 @@ def dump_measure(mu: SignedMeasure) -> dict:
 def load_function(source, expected_space: FiniteMetricSpace | None = None,
                   subspace: Subspace | None = None) -> PointFunction:
     """Read a function file; with a subspace, values cover its members only."""
+    from .extension import PointFunction
+
     obj, base_dir = _read_object(source)
     _check_keys(obj, "function", ("space", "dim", "norm", "values"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "function")
@@ -295,6 +309,9 @@ def _parse_subset(space: FiniteMetricSpace, raw, what: str) -> Subspace:
 
 
 def load_projection(source, expected_space: FiniteMetricSpace | None = None) -> RandomProjection:
+    from .measures import SignedMeasure
+    from .projections import RandomProjection
+
     obj, base_dir = _read_object(source)
     _check_keys(obj, "projection", ("space", "subset", "strong", "rows"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "projection")
@@ -349,6 +366,8 @@ def dump_projection(p: RandomProjection) -> dict:
 
 
 def load_gentle(source, expected_space: FiniteMetricSpace | None = None) -> GentlePartition:
+    from .projections import GentlePartition
+
     obj, base_dir = _read_object(source)
     _check_keys(obj, "gentle partition", ("space", "subset", "P", "psi", "gamma"))
     space = _resolve_space(obj["space"], base_dir, expected_space, "gentle partition")

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
 import krext.cli as cli
+import krext.projections
 import krext.io as kio
 from krext import (
     ContractError,
@@ -76,6 +79,22 @@ def test_atomic_write_replaces_content(tmp_path):
     kio.atomic_write(target, "new\n")
     assert target.read_text() == "new\n"
     assert list(tmp_path.iterdir()) == [target]  # no stray temp files
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.json"
+        kio.atomic_write(fresh, "new\n")
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        kept = tmp_path / "kept.json"
+        kept.write_text("old")
+        kept.chmod(0o640)
+        kio.atomic_write(kept, "new\n")
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_text() == "new\n"
+    finally:
+        os.umask(old)
 
 
 def test_json_parse_error_carries_position(tmp_path):
@@ -342,7 +361,7 @@ def test_cli_contract_error_is_1(files, capsys):
 def test_cli_solver_error_is_2(files, capsys, monkeypatch):
     def boom(*a, **k):
         raise SolverError("synthetic failure")
-    monkeypatch.setattr(cli, "synthesize_min_k", boom)
+    monkeypatch.setattr(krext.projections, "synthesize_min_k", boom)
     code, _, err = run_cli(capsys, "synthesize", files["space.json"], "--subset", "a,b")
     assert code == 2 and "synthetic failure" in err
 
@@ -354,6 +373,18 @@ def test_cli_out_writes_file(files, capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(dest.read_text()) == {"doubling_estimate": 3}
+
+
+@pytest.mark.parametrize("dest", ["missing/x.json", "folder"])
+def test_cli_out_that_cannot_be_written_is_a_contract_error(files, capsys, dest):
+    (files["dir"] / "folder").mkdir()
+    before = sorted(files["dir"].rglob("*"))
+    code, out, err = run_cli(
+        capsys, "doubling", files["space.json"], "--out", str(files["dir"] / dest)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write")
+    assert sorted(files["dir"].rglob("*")) == before  # no temp file left behind
 
 
 def test_cli_tol_env_and_flag(files, capsys, monkeypatch):
