@@ -53,6 +53,16 @@ def _comma_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="krext", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -62,108 +72,57 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the result to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check the metric axioms, report every violation")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_validate)
+    def command(name, handler, help, *files):
+        p = sub.add_parser(name, parents=[common], help=help)
+        for f in files:
+            p.add_argument(f)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("doubling", parents=[common],
-                       help="greedy upper bound on the doubling constant")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_doubling)
-
-    p = sub.add_parser("w1", parents=[common],
-                       help="Wasserstein-1 distance between two measures of equal mass")
-    p.add_argument("space")
-    p.add_argument("mu")
-    p.add_argument("eta")
-    p.set_defaults(handler=_cmd_w1)
-
-    p = sub.add_parser("krnorm", parents=[common],
-                       help="dual-Lipschitz norm of a signed measure")
-    p.add_argument("space")
-    p.add_argument("mu")
-    p.set_defaults(handler=_cmd_krnorm)
-
-    p = sub.add_parser("mcshane", parents=[common],
-                       help="largest L-Lipschitz extension of a scalar function off a subset")
-    p.add_argument("space")
-    p.add_argument("f")
+    command("validate", _cmd_validate,
+            "check the metric axioms, report every violation", "space")
+    command("doubling", _cmd_doubling,
+            "greedy upper bound on the doubling constant", "space")
+    command("w1", _cmd_w1,
+            "Wasserstein-1 distance between two measures of equal mass", "space", "mu", "eta")
+    command("krnorm", _cmd_krnorm, "dual-Lipschitz norm of a signed measure", "space", "mu")
+    p = command("mcshane", _cmd_mcshane,
+                "largest L-Lipschitz extension of a scalar function off a subset", "space", "f")
     p.add_argument("--subset", type=_comma_labels, required=True,
                    help="subset labels, comma separated (must contain the basepoint)")
     p.add_argument("--L", type=float, default=None,
                    help="Lipschitz budget (default: the function's own constant)")
-    p.set_defaults(handler=_cmd_mcshane)
-
-    p = sub.add_parser("extend", parents=[common],
-                       help="linear extension of a subset function through a projection")
-    p.add_argument("space")
-    p.add_argument("proj")
-    p.add_argument("f")
-    p.set_defaults(handler=_cmd_extend)
-
-    p = sub.add_parser("gentle2proj", parents=[common],
-                       help="projection induced by a gentle partition, with both constants")
-    p.add_argument("space")
-    p.add_argument("gentle")
-    p.set_defaults(handler=_cmd_gentle2proj)
-
-    p = sub.add_parser("proj2gentle", parents=[common],
-                       help="gentle partition encoding a strong projection")
-    p.add_argument("space")
-    p.add_argument("proj")
-    p.set_defaults(handler=_cmd_proj2gentle)
-
-    p = sub.add_parser("tvconst", parents=[common],
-                       help="weighted total-variation constant of a projection")
-    p.add_argument("space")
-    p.add_argument("proj")
-    p.set_defaults(handler=_cmd_tvconst)
-
-    p = sub.add_parser("udp", parents=[common],
-                       help="two-atom projection for an eps-separated subset")
-    p.add_argument("space")
+    command("extend", _cmd_extend,
+            "linear extension of a subset function through a projection", "space", "proj", "f")
+    command("gentle2proj", _cmd_gentle2proj,
+            "projection induced by a gentle partition, with both constants", "space", "gentle")
+    command("proj2gentle", _cmd_proj2gentle,
+            "gentle partition encoding a strong projection", "space", "proj")
+    command("tvconst", _cmd_tvconst,
+            "weighted total-variation constant of a projection", "space", "proj")
+    p = command("udp", _cmd_udp, "two-atom projection for an eps-separated subset", "space")
     p.add_argument("--subset", type=_comma_labels, required=True)
     p.add_argument("--eps", type=float, required=True,
                    help="separation scale; members must be at least eps apart")
     p.add_argument("--t0", required=True, help="reference member label")
-    p.set_defaults(handler=_cmd_udp)
-
-    p = sub.add_parser("synthesize", parents=[common],
-                       help="minimal projection constant onto a subset, by cutting planes")
-    p.add_argument("space")
+    p = command("synthesize", _cmd_synthesize,
+                "minimal projection constant onto a subset, by cutting planes", "space")
     p.add_argument("--subset", type=_comma_labels, required=True)
     p.add_argument("--mode", choices=("strong", "signed"), default="strong")
-    p.set_defaults(handler=_cmd_synthesize)
-
-    p = sub.add_parser("asymptotic", parents=[common],
-                       help="minimal constants along a growing chain of subsets")
-    p.add_argument("space")
+    p = command("asymptotic", _cmd_asymptotic,
+                "minimal constants along a growing chain of subsets", "space")
     p.add_argument("--order", type=_comma_labels, default=None,
                    help="point labels in join order, basepoint first "
                         "(default: input order, basepoint moved to the front)")
-    p.set_defaults(handler=_cmd_asymptotic)
-
-    p = sub.add_parser("retract", parents=[common],
-                       help="retract a nonnegative vector onto the l1 unit ball")
-    p.add_argument("vector")
-    p.set_defaults(handler=_cmd_retract)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="comparison table over seeded random subsets")
-    p.add_argument("space")
-    p.add_argument("--seed", type=int, default=0)
+    command("retract", _cmd_retract,
+            "retract a nonnegative vector onto the l1 unit ball", "vector")
+    p = command("report", _cmd_report, "comparison table over seeded random subsets", "space")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sizes", type=_comma_ints, default=None,
                    help="subset sizes to sample (default 2..min(n,5))")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=_cmd_report)
-
-    p = sub.add_parser("shiftbase", parents=[common],
-                       help="subtract the basepoint value from a function file")
-    p.add_argument("space")
-    p.add_argument("f")
-    p.set_defaults(handler=_cmd_shiftbase)
-
+    command("shiftbase", _cmd_shiftbase,
+            "subtract the basepoint value from a function file", "space", "f")
     return parser
 
 
@@ -341,22 +300,17 @@ def _cmd_retract(args, tol):
 
 
 def _cmd_shiftbase(args, tol):
-    from pathlib import Path
-
     from .extension import PointFunction
 
     space = kio.load_space(args.space)
     raw = kio.read_json(args.f)
-    if isinstance(raw, dict) and isinstance(raw.get("space"), str):
-        # keep relative space references anchored at the function file
-        raw = dict(raw, space=str(Path(args.f).parent / raw["space"]))
     values = raw.get("values") if isinstance(raw, dict) else None
     subset = None
     if isinstance(values, dict) and set(values) != set(space.labels):
         # the file covers a subset; the loader checks it is a valid one
         idx = sorted(space.index(l) for l in values if l in space.labels)
         subset = Subspace(space, tuple(idx))
-    f = kio.load_function(raw, expected_space=space, subspace=subset)
+    f = kio.load_function(args.f, expected_space=space, subspace=subset)
     shifted = f.values - f.values[f.space.basepoint]
     out = PointFunction(f.space, shifted, f.norm)
     dumped = kio.dump_function(out)

@@ -45,12 +45,14 @@ def read_json(path: str | Path):
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise JsonParseError(str(path), exc.lineno, exc.colno, exc.msg) from exc
+    except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
+        raise MalformedInputError(f"cannot decode {path}: {exc}") from None
 
 
 def round12(x: float) -> float:
@@ -105,14 +107,14 @@ def write_json(path: str | Path, obj) -> None:
 # schema helpers
 
 
-def _check_keys(obj, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+def _check_keys(obj, what: str, required: tuple[str, ...]):
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{what} must be a JSON object")
     keys = set(obj)
     missing = [k for k in required if k not in keys]
     if missing:
         raise MalformedInputError(f"{what} is missing key(s): {', '.join(missing)}")
-    unknown = sorted(keys - set(required) - set(optional))
+    unknown = sorted(keys - set(required))
     if unknown:
         raise MalformedInputError(f"{what} has unknown key(s): {', '.join(unknown)}")
 
@@ -120,7 +122,10 @@ def _check_keys(obj, what: str, required: tuple[str, ...], optional: tuple[str, 
 def _as_number(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise MalformedInputError(f"{what} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise MalformedInputError(f"{what} is too large for a float") from None
 
 
 def _as_label(v, what: str) -> str:
@@ -133,6 +138,31 @@ def _number_list(v, what: str) -> list[float]:
     if not isinstance(v, list):
         raise MalformedInputError(f"{what} must be a list of numbers")
     return [_as_number(t, f"{what}[{i}]") for i, t in enumerate(v)]
+
+
+def _number_rows(v, what: str, n_rows: int, width: int, shape: str) -> list[list[float]]:
+    """n_rows lists of width numbers; each row is read, then its length checked."""
+    if not isinstance(v, list) or len(v) != n_rows:
+        raise MalformedInputError(f"{what} must {shape}")
+    rows = []
+    for i, row in enumerate(v):
+        rows.append(_number_list(row, f"{what}[{i}]"))
+        if len(rows[-1]) != width:
+            raise MalformedInputError(f"{what}[{i}] has {len(rows[-1])} entries, expected {width}")
+    return rows
+
+
+def _label_index(space: FiniteMetricSpace, label, what: str) -> int:
+    return space.index(_as_label(label, what))
+
+
+def _label_numbers(space: FiniteMetricSpace, v, what: str, label_what: str,
+                   key: str) -> dict[int, float]:
+    """A {label: number} object as {point index: number}."""
+    if not isinstance(v, dict):
+        raise MalformedInputError(f"{what} must be an object of label: number")
+    return {_label_index(space, k, label_what): _as_number(t, f"{key}[{k!r}]")
+            for k, t in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +178,8 @@ def _parse_space(obj) -> FiniteMetricSpace:
     bp_label = _as_label(obj["basepoint"], "basepoint")
     if bp_label not in labels:
         raise MalformedInputError(f"basepoint {bp_label!r} is not among the labels")
-    dist_raw = obj["dist"]
-    if not isinstance(dist_raw, list) or len(dist_raw) != len(labels):
-        raise MalformedInputError("dist must be a row-major square matrix")
-    dist = []
-    for i, row in enumerate(dist_raw):
-        dist.append(_number_list(row, f"dist[{i}]"))
-        if len(dist[-1]) != len(labels):
-            raise MalformedInputError(f"dist[{i}] has {len(dist[-1])} entries, expected {len(labels)}")
+    n = len(labels)
+    dist = _number_rows(obj["dist"], "dist", n, n, "be a row-major square matrix")
     return FiniteMetricSpace(labels, np.array(dist), labels.index(bp_label))
 
 
@@ -176,30 +200,22 @@ def dump_space(space: FiniteMetricSpace) -> dict:
     }
 
 
-def _resolve_space(field, base_dir: Path | None,
-                   expected: FiniteMetricSpace | None, what: str) -> FiniteMetricSpace:
-    if isinstance(field, str):
-        space = load_space(field, base_dir=base_dir)
-    elif isinstance(field, dict):
-        space = _parse_space(field)
+def _read_bound(source, what: str, keys: tuple[str, ...],
+                expected: FiniteMetricSpace | None) -> tuple[dict, FiniteMetricSpace]:
+    """A dependent object with exactly keys, and the space its "space" key
+    binds it to: inline, or a path anchored at the folder of the file."""
+    if isinstance(source, dict):
+        obj, base_dir = source, None
     else:
+        path = Path(source)
+        obj, base_dir = read_json(path), path.parent
+    _check_keys(obj, what, keys)
+    if not isinstance(obj["space"], (str, dict)):
         raise MalformedInputError(f"{what} space must be a file path or an inline object")
+    space = load_space(obj["space"], base_dir=base_dir)
     if expected is not None and space != expected:
         raise ContractError(f"the {what} is bound to a different space than the one given")
-    return space
-
-
-def _read_object(source) -> tuple[object, Path | None]:
-    """An inline object as given, or a file's JSON with the folder that
-    anchors the relative space path inside it."""
-    if isinstance(source, dict):
-        return source, None
-    path = Path(source)
-    return read_json(path), path.parent
-
-
-def _label_index(space: FiniteMetricSpace, label, what: str) -> int:
-    return space.index(_as_label(label, what))
+    return obj, space
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +225,8 @@ def _label_index(space: FiniteMetricSpace, label, what: str) -> int:
 def load_measure(source, expected_space: FiniteMetricSpace | None = None) -> SignedMeasure:
     from .measures import SignedMeasure
 
-    obj, base_dir = _read_object(source)
-    _check_keys(obj, "measure", ("space", "coeff"))
-    space = _resolve_space(obj["space"], base_dir, expected_space, "measure")
-    coeff_raw = obj["coeff"]
-    if not isinstance(coeff_raw, dict):
-        raise MalformedInputError("measure coeff must be an object of label: number")
-    coeff = {
-        _label_index(space, k, "coefficient label"): _as_number(v, f"coeff[{k!r}]")
-        for k, v in coeff_raw.items()
-    }
+    obj, space = _read_bound(source, "measure", ("space", "coeff"), expected_space)
+    coeff = _label_numbers(space, obj["coeff"], "measure coeff", "coefficient label", "coeff")
     return SignedMeasure(space, coeff)
 
 
@@ -239,9 +247,8 @@ def load_function(source, expected_space: FiniteMetricSpace | None = None,
     """Read a function file; with a subspace, values cover its members only."""
     from .extension import PointFunction
 
-    obj, base_dir = _read_object(source)
-    _check_keys(obj, "function", ("space", "dim", "norm", "values"))
-    space = _resolve_space(obj["space"], base_dir, expected_space, "function")
+    obj, space = _read_bound(source, "function", ("space", "dim", "norm", "values"),
+                             expected_space)
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
@@ -312,9 +319,8 @@ def load_projection(source, expected_space: FiniteMetricSpace | None = None) -> 
     from .measures import SignedMeasure
     from .projections import RandomProjection
 
-    obj, base_dir = _read_object(source)
-    _check_keys(obj, "projection", ("space", "subset", "strong", "rows"))
-    space = _resolve_space(obj["space"], base_dir, expected_space, "projection")
+    obj, space = _read_bound(source, "projection", ("space", "subset", "strong", "rows"),
+                             expected_space)
     subset = _parse_subset(space, obj["subset"], "projection")
     strong = obj["strong"]
     if not isinstance(strong, bool):
@@ -335,13 +341,8 @@ def load_projection(source, expected_space: FiniteMetricSpace | None = None) -> 
                 rows.append(SignedMeasure.dirac(space, x))
                 continue
             raise MalformedInputError(f"projection rows missing exterior point {lab!r}")
-        entry = rows_raw[lab]
-        if not isinstance(entry, dict):
-            raise MalformedInputError(f"row {lab!r} must be an object of label: number")
-        coeff = {
-            _label_index(space, m, f"row {lab!r} support label"): _as_number(v, f"rows[{lab!r}][{m!r}]")
-            for m, v in entry.items()
-        }
+        coeff = _label_numbers(space, rows_raw[lab], f"row {lab!r}",
+                               f"row {lab!r} support label", f"rows[{lab!r}]")
         rows.append(SignedMeasure(space, coeff))
     return RandomProjection(subset, tuple(rows), strong)
 
@@ -368,19 +369,11 @@ def dump_projection(p: RandomProjection) -> dict:
 def load_gentle(source, expected_space: FiniteMetricSpace | None = None) -> GentlePartition:
     from .projections import GentlePartition
 
-    obj, base_dir = _read_object(source)
-    _check_keys(obj, "gentle partition", ("space", "subset", "P", "psi", "gamma"))
-    space = _resolve_space(obj["space"], base_dir, expected_space, "gentle partition")
+    obj, space = _read_bound(source, "gentle partition",
+                             ("space", "subset", "P", "psi", "gamma"), expected_space)
     subset = _parse_subset(space, obj["subset"], "gentle partition")
     P = _number_list(obj["P"], "P")
-    psi_raw = obj["psi"]
-    if not isinstance(psi_raw, list) or len(psi_raw) != len(P):
-        raise MalformedInputError("psi must have one row per entry of P")
-    psi = []
-    for i, row in enumerate(psi_raw):
-        psi.append(_number_list(row, f"psi[{i}]"))
-        if len(psi[-1]) != space.n:
-            raise MalformedInputError(f"psi[{i}] has {len(psi[-1])} entries, expected {space.n}")
+    psi = _number_rows(obj["psi"], "psi", len(P), space.n, "have one row per entry of P")
     gamma_raw = obj["gamma"]
     if not isinstance(gamma_raw, list) or len(gamma_raw) != len(P):
         raise MalformedInputError("gamma must assign a member label per entry of P")

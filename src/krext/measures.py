@@ -43,6 +43,10 @@ class SignedMeasure:
                 clean[i] = clean.get(i, 0.0) + x
                 if clean[i] == 0.0:
                     del clean[i]
+        try:  # a finite total variation bounds every later sum over the coefficients
+            math.fsum(map(abs, clean.values()))
+        except OverflowError:
+            raise ContractError("the coefficients' total variation overflows a float") from None
         object.__setattr__(self, "coeff", MappingProxyType(dict(sorted(clean.items()))))
 
     # -- constructors -------------------------------------------------
@@ -129,7 +133,10 @@ def total_variation(mu: SignedMeasure, subset=None) -> float:
     """
     if subset is None:
         return math.fsum(map(abs, mu.coeff.values()))
-    idx = [int(i) for i in subset]
+    try:
+        idx = [operator.index(i) for i in subset]
+    except TypeError:
+        raise ContractError("a subset index is not an integer") from None
     for i in idx:
         if not (0 <= i < mu.space.n):
             raise ContractError(f"subset index {i} out of range")

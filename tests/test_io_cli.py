@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +366,56 @@ def test_cli_solver_error_is_2(files, capsys, monkeypatch):
     monkeypatch.setattr(krext.projections, "synthesize_min_k", boom)
     code, _, err = run_cli(capsys, "synthesize", files["space.json"], "--subset", "a,b")
     assert code == 2 and "synthetic failure" in err
+
+
+BIG = "1" + "0" * 400  # an integer literal past the largest float
+
+
+@pytest.mark.parametrize("argv, content, code, named", [
+    (("validate", "{in}"), b'{"labels": ["a\xff"], "basepoint": "a", "dist": [[0]]}',
+     1, ("{in}",)),
+    # Python limits int literals to 4300 digits; where it does not, float() overflows
+    (("validate", "{in}"), b'{"labels": ["a"], "basepoint": "a", "dist": [[%s]]}' % (b"1" * 5000),
+     1, ("{in}", "dist[0][0]")),
+    (("validate", "{in}"), b"[" * 100_000 + b"]" * 100_000, 1, ("{in}",)),
+    (("validate", "{in}"), b'{"labels": ["a", "b"], "basepoint": "a", '
+                           b'"dist": [[0, %s], [%s, 0]]}' % (BIG.encode(), BIG.encode()),
+     1, ("dist[0][1]",)),
+    (("retract", "{in}"), b"[%s]" % BIG.encode(), 1, ("vector[0]",)),
+    (("report", "{space}", "--sizes", "2", "--seed", "-1"), b"", 64, ("--seed",)),
+], ids=["invalid-utf8", "5000-digit-int", "deep-nesting", "400-digit-distance",
+        "400-digit-vector", "negative-seed"])
+def test_cli_reports_unreadable_input_without_a_traceback(files, capsys, tmp_path,
+                                                         argv, content, code, named):
+    # each of these inputs once ended in a Python traceback
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    fill = {"in": str(path), "space": files["space.json"]}
+    got, _, err = run_cli(capsys, *(a.format(**fill) for a in argv))
+    assert got == code
+    assert "Traceback" not in err
+    assert any(n.format(**fill) in err for n in named)
+
+
+def test_cli_krnorm_on_a_measure_whose_total_variation_overflows_exits_one(files, capsys, tmp_path):
+    big = tmp_path / "big.json"
+    kio.write_json(big, {"space": "space.json", "coeff": {"b": 1e308, "c": 1e308}})
+    code, _, err = run_cli(capsys, "krnorm", files["space.json"], str(big))
+    assert code == 1 and "overflows" in err
+
+
+def test_readme_command_block_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    names = set()
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].replace("[", "").replace("]", "")
+        words = [w.split("|", 1)[0] for w in line.split()]
+        assert words[0] == "krext", line
+        names.add(parser.parse_args(words[1:]).command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert names == set(sub.choices)
 
 
 def test_cli_out_writes_file(files, capsys, tmp_path):

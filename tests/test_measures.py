@@ -18,6 +18,7 @@ from krext import (
     jordan_decompose,
     kr_norm,
     total_variation,
+    w1,
 )
 from test_metric import three_point
 
@@ -78,6 +79,21 @@ def test_coefficient_indices_must_be_integers():
     assert mu[np.int64(1)] == 1.0 and mu[0] == 0.0
 
 
+def test_coefficients_whose_total_variation_overflows_are_rejected():
+    space = three_point()
+    # each of these once ended in "OverflowError: intermediate overflow in fsum"
+    for coeff in ({1: 1e308, 2: 1e308}, {1: 1e308, 2: -1e308}):
+        with pytest.raises(ContractError, match="overflows"):
+            kr_norm(SignedMeasure(space, coeff))
+        with pytest.raises(ContractError, match="overflows"):
+            SignedMeasure(space, coeff).mass()
+    with pytest.raises(ContractError, match="overflows"):
+        w1(SignedMeasure(space, {1: 1e308, 2: 1e308}), SignedMeasure(space, {0: 1e308, 2: 1e308}))
+    with pytest.raises(ContractError, match="overflows"):
+        SignedMeasure(space, {1: 1e308}) + SignedMeasure(space, {2: 1e308})
+    assert SignedMeasure(space, {1: 8e307, 2: -8e307}).mass() == 0.0
+
+
 def test_measures_on_different_spaces_do_not_mix():
     mu = SignedMeasure(three_point(), {1: 1.0})
     eta = SignedMeasure(three_point(), {1: 1.0})
@@ -130,6 +146,12 @@ def test_tv_subset_errors():
         total_variation(mu, subset=(5,))
     with pytest.raises(ContractError):
         total_variation(mu, subset=(0, 0))
+    mu = SignedMeasure(three_point(), {1: 2.0, 2: -1.0})
+    # subset=[1.7] used to read point 1
+    for index in (1.7, 1.0, "1"):
+        with pytest.raises(ContractError, match="not an integer"):
+            total_variation(mu, subset=[index])
+    assert total_variation(mu, subset=[np.int64(1), np.uint8(2)]) == 3.0
 
 
 @given(st.integers(0, 2**32 - 1))
