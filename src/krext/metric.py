@@ -146,8 +146,11 @@ def validate_metric(space: FiniteMetricSpace, tol: float = 1e-9) -> list[Violati
     # symmetric matrix, so report each unordered endpoint pair once (k > i)
     step = max(1, _BLOCK_FLOATS // (n * n))
     for lo in range(0, n, step):
-        # slack[i - lo, j, k] = d[i, k] - (d[i, j] + d[j, k]), rounded as written
-        slack = d[lo:lo + step, None, :] - (d[lo:lo + step, :, None] + d[None, :, :])
+        # slack[i - lo, j, k] = d[i, k] - (d[i, j] + d[j, k]), rounded as written.
+        # A sum that overflows to +inf exceeds every finite distance, so its
+        # slack of -inf hides no violation
+        with np.errstate(over="ignore"):
+            slack = d[lo:lo + step, None, :] - (d[lo:lo + step, :, None] + d[None, :, :])
         i, j, k = np.nonzero(slack > eff)
         keep = (k > i + lo) & (j != i + lo) & (j != k)
         for a, b, c in zip(i[keep], j[keep], k[keep]):

@@ -1,12 +1,22 @@
 """Optimization kernels: min-cost flow and a dense revised simplex.
 
-The flow solver runs primal-dual phases on an exactly quantized copy of
-the instance.  The grid is relative to the problem scale: costs are
+The flow solver takes a transportation problem: supplies on nodes, the
+sources S those of positive supply and the sinks T those of negative
+supply, each in ascending node order, and the |S| x |T| matrix of
+nonnegative costs of one uncapacitated arc from every source to every
+sink.  By the triangle inequality, every transport problem on a metric
+space is one of these, from a measure's positive to its negative part.
+
+It runs primal-dual phases on an exactly quantized copy of the
+instance.  The grid is relative to the problem scale: costs are
 divided by a power of two near the largest cost and supplies by a power
 of two near the largest |supply|, then both are scaled by 2**60 and
 rounded.  Scaling a float by a power of two is exact, so the only
 perturbation is the final rounding, about 2**-61 of the largest cost or
 supply whatever their units, and results are multiplied back exactly.
+The supplies are rounded as running sums, so that they still balance;
+every node but the last keeps its side of zero, and solve_flow refuses
+a last node that the rounding moves across it.
 
 Each phase runs one multi-source Dijkstra on reduced costs from every
 node with excess until every deficit node is settled, raises the node
@@ -47,21 +57,24 @@ ones, which it skips when they surface.  Its tree arc into a node is
 the first tight arc scanned into it, since an arc that is not tight
 offers more than the label and a later tight arc replaces it; that is
 the first-offer loop's tree arc, so the potentials rise by the same
-amounts and results are bit for bit those of a full scan.  The order
-of a node's list matters only between parallel arcs, and the pre-pass
-lists them in arc order, as a full scan does.  The gate is an input
-property: the pre-pass costs some 45 numpy calls per phase, which a
-sparse problem's heap loop never wins back.  Labels are int64 and
-saturate at 2**61.  While no potential exceeds 2**61 and no deficit's
-label saturates, a phase runs first-offer, which stops at the last
-deficit and so settles only exact labels.  Otherwise the pre-pass gives
-up, the potentials reach 2**61 and only rise, and the rest of the solve
-runs the tentative-distance loop over every arc.  The potentials stay
-an int64 array while the pre-pass runs, within [0, 2**62], and the end
-certificate checks their reduced costs in one int64 pass.  Transport
-problems never give up, since their sources keep potential 0 and each
-sink has an arc from every source, so labels and potentials stay below
-the largest cost, 2**60 on the grid.
+amounts and results are bit for bit those of a full scan.  The gate is
+an input property: the pre-pass costs some 45 numpy calls per phase,
+which a sparse problem's heap loop never wins back.
+
+No potential passes the largest grid cost C, below 2**60, so the
+pre-pass works in int64 with labels that start at C, and the end
+certificate checks every reduced cost in one int64 pass.  An active
+source settles at label 0 in every phase, so it keeps potential 0.
+Every sink has a direct arc from it, whose reduced cost stays
+nonnegative, so no sink rises above that arc's cost, no sink's label
+exceeds C less its potential, and every phase reaches every deficit.  A
+source that has shipped its supply still ships it along arcs of reduced
+cost zero, so it sits below a sink it feeds, by that arc's cost, and
+shares that sink's label.  A node that is no sink and has no supply on
+the grid is idle: it ships nothing and nothing reaches it, so it sits
+at C from the start, above every sink, and every phase settles it at
+label 0.  The pre-pass checks the bound at every phase and raises
+SolverError should it fail.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
@@ -101,8 +114,6 @@ GRID_BITS = 60
 # and 2.5-2.7 ms, about even; n=70 (17 per node), 9.2-10.7 and 6.2-6.8 ms; n=100
 # (25 per node), 22-27 and 10-14 ms.
 DENSE_ARCS_PER_NODE = 16
-# pre-pass labels saturate here, so a label plus a reduced cost stays in int64
-_LABEL_CAP = 1 << 61
 
 # a simplex reduced cost or pivot entry at most this large counts as zero
 PIVOT_TOL = 1e-10
@@ -139,26 +150,40 @@ def _quantize_balanced(values: np.ndarray, shift: int) -> list[int]:
     # 2**63, so they become Python ints, and the last is set to the exact zero
     cum = [0, *map(int, np.rint(np.ldexp(running, shift)).tolist())]
     cum[-1] = 0
-    return list(map(operator.sub, cum[1:], cum))
+    b = list(map(operator.sub, cum[1:], cum))
+    # float sums and rint are monotone, so every entry but the last keeps
+    # its side of zero; the last takes the rounding and must keep it too
+    if b and (b[-1] > 0 >= values[-1] or b[-1] < 0 <= values[-1]):
+        raise ContractError("the grid moves the last supply across zero; put the largest |supply| last")
+    return b
 
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """Uncapacitated min-cost flow instance on node indices 0..n_nodes-1.
+    """Uncapacitated transportation problem on node indices 0..n_nodes-1.
 
-    supplies: positive for sources, negative for sinks, summing to zero.
-    arcs: (m, 2) integer (tail, head) pairs; costs: (m,) nonnegative costs.
+    supplies: positive at the sources, negative at the sinks, summing to
+    zero; a node of zero supply is neither.  cost: the (|sources|,
+    |sinks|) matrix of nonnegative arc costs, sources and sinks each in
+    ascending node order.  Arc k runs from sources[k // |sinks|] to
+    sinks[k % |sinks|].
     """
 
-    n_nodes: int
     supplies: np.ndarray
-    arcs: np.ndarray
-    costs: np.ndarray
+    cost: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "supplies", np.asarray(self.supplies, dtype=float))
-        object.__setattr__(self, "arcs", np.asarray(self.arcs, dtype=np.int64))
-        object.__setattr__(self, "costs", np.asarray(self.costs, dtype=float))
+        object.__setattr__(self, "cost", np.asarray(self.cost, dtype=float))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.supplies.size
+
+    @property
+    def arcs(self) -> np.ndarray:
+        """The (tail, head) pair of every arc, in arc order."""
+        return np.argwhere((self.supplies[:, None] > 0.0) & (self.supplies < 0.0))
 
 
 @dataclass(frozen=True)
@@ -173,7 +198,7 @@ class FlowResult:
 
 
 def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
-    """Solve a min-cost flow problem exactly on the quantized grid.
+    """Solve a transportation problem exactly on the quantized grid.
 
     Returns flows, certifying node potentials and the optimal cost.  The
     potentials g satisfy g_u - g_v <= cost(u, v) on every arc, with
@@ -181,10 +206,9 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     cost exactly.
     """
     check_tol(tol)
-    n = problem.n_nodes
-    supplies, arcs, costs = problem.supplies, problem.arcs, problem.costs
-    if supplies.shape != (n,):
-        raise ContractError(f"supplies must have shape ({n},)")
+    supplies, costs = problem.supplies, problem.cost
+    if supplies.ndim != 1:
+        raise ContractError("supplies must be a vector")
     largest = float(np.abs(supplies).max(initial=0.0))
     if not math.isfinite(largest):   # the max of any NaN is NaN
         raise ContractError("supplies must be finite")
@@ -195,66 +219,76 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     net, mass = float(grid.sum()), float(np.abs(grid).sum())
     if abs(net) > tol * mass:
         raise ContractError(f"unbalanced supplies: the net is {abs(net) / mass:.3e} of their total size")
-    if arcs.ndim != 2 or arcs.shape[1] != 2 or costs.shape != arcs.shape[:1]:
-        raise ContractError(f"arcs must have shape (m, 2) and costs shape (m,), "
-                            f"got {arcs.shape} and {costs.shape}")
+    sources, sinks = (supplies > 0.0).nonzero()[0], (supplies < 0.0).nonzero()[0]
+    shape = (sources.size, sinks.size)
+    if costs.shape != shape:
+        raise ContractError(f"cost has shape {costs.shape}, not (sources, sinks) = {shape}")
     largest_cost = float(costs.max(initial=0.0))
-    loop = arcs[:, 0] == arcs[:, 1]
-    # one all-good check, where NaN fails every comparison and a negative
-    # node reads as a huge unsigned one; the scan names the first offender
-    if not (arcs.view(np.uint64).max(initial=0) < n and not loop.any()
-            and costs.min(initial=0.0) >= 0.0 and math.isfinite(largest_cost)):
-        outside = np.any((arcs < 0) | (arcs >= n), axis=1)
-        bad = np.flatnonzero(outside | loop | ~(np.isfinite(costs) & (costs >= 0.0)))
-        if bad.size:
-            u, v = arcs[bad[0]].tolist()
-            if outside[bad[0]]:
-                raise ContractError(f"arc ({u},{v}) out of range")
-            if loop[bad[0]]:
-                raise ContractError(f"self-loop arc at node {u}")
-            raise ContractError(f"arc ({u},{v}) needs a finite nonnegative cost")
+    # one all-good check, where NaN fails every comparison; the scan names
+    # the first offender
+    if not (costs.min(initial=0.0) >= 0.0 and math.isfinite(largest_cost)):
+        i, j = np.argwhere(~(np.isfinite(costs) & (costs >= 0.0)))[0]
+        raise ContractError(f"arc ({sources[i]},{sinks[j]}) needs a finite nonnegative cost")
 
+    n = supplies.size
     cost_shift = _grid_exponent(largest_cost)
     b = _quantize_balanced(supplies, supply_shift)
     # rint rounds half to even, as round does; int64 holds values below 2**GRID_BITS
     cost_grid = np.rint(np.ldexp(costs, cost_shift)).astype(np.int64)
-    cost = cost_grid.tolist()
-    tails, heads = arcs.T.tolist()
+    top_cost = int(cost_grid.max(initial=0))
+    cost = cost_grid.ravel().tolist()
+    # arc k runs from sources[k // |sinks|] to sinks[k % |sinks|]
+    tails = [u for u in sources.tolist() for _ in range(sinks.size)]
+    heads = sinks.tolist() * sources.size
 
     # residual arcs (node, cost, k or ~k) out of each node: uncapacitated arc
     # k is always open forward, and backward (~k) only while it carries flow;
-    # the lists of every forward arc are built on first need, since dense
-    # phases scan the pre-pass's lists instead
-    forward: list[list[tuple[int, int, int]]] | None = None
+    # dense phases scan the pre-pass's lists instead of the forward lists
     backward: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
     dense = n > 0 and len(cost) >= DENSE_ARCS_PER_NODE * n
-    prepass = _LabelPrepass(arcs, cost_grid) if dense else None
     flow = [0] * len(cost)
 
     excess = list(b)
     total_excess = sum(x for x in b if x > 0)
-    sources = [s for s in range(n) if b[s] > 0]
+    active = [s for s in range(n) if b[s] > 0]
     deficits = sum(1 for x in b if x < 0)   # a node never becomes a deficit again
-    # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0.  pi is an int64
-    # array while the pre-pass runs, else a list of ints, which may outgrow it
-    pi: np.ndarray | list[int] = np.zeros(n, dtype=np.int64) if dense else [0] * n
+    # a node that is no sink and has no supply on the grid is idle: it ships
+    # nothing and nothing reaches it.  It sits at the largest grid cost, where
+    # no sink rises above it, and every phase settles it at label 0
+    idle = [x for x, (bx, sx) in enumerate(zip(b, supplies.tolist())) if not bx and sx >= 0.0]
+    # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0; pi stays in [0, top_cost],
+    # an int64 array in dense phases and a list of ints in the others
+    pi: np.ndarray | list[int] = [0] * n
+    for x in idle:
+        pi[x] = top_cost
+    if dense:
+        prepass = _LabelPrepass(cost_grid, sources, sinks, top_cost)
+        pi = np.array(pi, dtype=np.int64)
+    else:
+        forward: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for u, entry in zip(tails, zip(heads, cost, range(len(cost)))):
+            forward[u].append(entry)
     phases = augmentations = 0
-    max_aug = 4 * (n + len(cost)) + 16
+    # every phase of a sound run augments at least once, so a bound on the
+    # augmentations bounds the phases too; it also ends a run whose phase
+    # reached no deficit, which would repeat forever
+    max_phases = 4 * (n + len(cost)) + 16
     heappush, heappop = heapq.heappush, heapq.heappop
 
     while total_excess > 0:
         phases += 1
+        if phases > max_phases:
+            raise SolverError("flow augmentation did not converge")
         via: list[int | None] = [None] * n   # tree arc into each node
-        sources = [s for s in sources if excess[s] > 0]
+        active = [s for s in active if excess[s] > 0]
         reached: list[int] = []   # deficit nodes in settle order
-        found = prepass.tight_arcs(pi, sources, backward, excess) if prepass is not None else None
-        if found is not None:
+        if dense:
             # every listed arc is tight, so the first arc to reach a node
             # offers its exact label: the node is pushed once, at that label,
             # with that arc as its tree arc, and no entry goes stale
-            scan, label = found
+            scan, label = prepass.tight_arcs(pi, active + idle, backward)
             offered = [False] * n
-            for s in sources:
+            for s in active:
                 offered[s] = True
             # the heap holds each node's rank in (label, node) order: small
             # ints compare faster than the pairs and pop in the same order;
@@ -263,7 +297,7 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             rank = np.empty(n, dtype=np.int64)
             rank[by_rank] = np.arange(n)
             by_rank, rank = by_rank.tolist(), rank.tolist()
-            pq = [rank[s] for s in sources]
+            pq = [rank[s] for s in active]
             while pq:
                 v = by_rank[heappop(pq)]
                 if excess[v] < 0:
@@ -284,18 +318,10 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             # every node below the last label is settled at its label
             pi = pi + np.minimum(label, label[v])
         else:
-            # a phase the pre-pass gives up on leaves a potential at or past
-            # the cap, and potentials only rise, so the pre-pass is dropped
-            if prepass is not None:
-                prepass, pi = None, pi.tolist()
-            if forward is None:
-                forward = [[] for _ in range(n)]
-                for u, entry in zip(tails, zip(heads, cost, range(len(cost)))):
-                    forward[u].append(entry)
             dist: list[float] = [math.inf] * n
-            for s in sources:
+            for s in active + idle:
                 dist[s] = 0
-            pq = [(0, s) for s in sources]   # sorted, so a heap
+            pq = [(0, s) for s in active]   # sorted, so a heap
             last = 0
             while pq:
                 dv, v = heappop(pq)
@@ -315,7 +341,7 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                         dist[w] = nd
                         via[w] = e
                         heappush(pq, (nd, w))
-                # in a transport problem a node has forward or backward arcs, not both
+                # a source has forward arcs only, a sink backward arcs only
                 if arcs_in := backward[v]:
                     for w, c, e in arcs_in.values():
                         nd = base + c - pi[w]
@@ -326,8 +352,6 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
             # settled nodes move by their distance, the rest by the last one,
             # which zeroes the reduced cost of every tree arc
             pi = [p + (dv if dv < last else last) for p, dv in zip(pi, dist)]
-        if not reached:
-            raise ContractError("flow problem is infeasible: a deficit node is unreachable")
 
         for t in reached:
             amount = -excess[t]
@@ -361,41 +385,29 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                 deficits -= 1
             total_excess -= amount
             augmentations += 1
-            if augmentations > max_aug:
-                raise SolverError("flow augmentation did not converge")
 
-    # exact certificates on the quantized instance; failure means a bug:
-    # no reduced cost is negative and every flow arc has reduced cost zero.
-    # Only flow arcs enter the slackness test and the cost; the loop names
-    # the first bad arc.  An int64 pi holds values in [0, 2**62] and costs
-    # are below 2**60, so its one array pass cannot overflow
+    # exact certificates on the quantized instance; failure means a bug: no
+    # reduced cost is negative and every flow arc has reduced cost zero.  Only
+    # flow arcs enter the slackness test and the cost.  The potentials lie in
+    # [0, top_cost] and the costs below 2**60, so one int64 pass cannot overflow
     support = list(compress(range(len(flow)), flow))   # the arcs carrying flow
-    if isinstance(pi, list):
-        certified = False
-    else:
-        reduced = cost_grid + pi[arcs[:, 0]] - pi[arcs[:, 1]]
-        certified = reduced.min() >= 0 and not reduced[support].any()
-        pi = pi.tolist()
-    if not certified:
-        reduced = [c + pi[u] - pi[v] for u, v, c in zip(tails, heads, cost)]
-        if min(reduced, default=0) < 0 or any(reduced[k] for k in support):
-            for r, f in zip(reduced, flow):
-                if r < 0:
-                    raise SolverError("optimality certificate failed on a residual arc")
-                if f > 0 and r > 0:
-                    raise SolverError("complementary slackness failed on a flow arc")
+    pi = np.asarray(pi, dtype=np.int64)
+    reduced = (cost_grid + pi[sources][:, None] - pi[sinks]).ravel()
+    if reduced.min(initial=0) < 0 or reduced[support].any():
+        raise SolverError("optimality certificate failed on the quantized instance")
+    pi = pi.tolist()
     cost_int = sum(flow[k] * cost[k] for k in support)
     if -sum(map(operator.mul, b, pi)) != cost_int:
         raise SolverError("flow duality gap is nonzero on the quantized instance")
 
     flow_out = np.zeros(len(flow))
     flow_out[support] = np.ldexp(np.array([flow[k] for k in support], dtype=float), -supply_shift)
+    # no potential passes the largest cost, a float, so only the optimum can overflow
+    potentials = np.array([math.ldexp(-p, -cost_shift) for p in pi])
     try:
-        potentials = np.array([math.ldexp(-p, -cost_shift) for p in pi])
         optimum = math.ldexp(cost_int, -supply_shift - cost_shift)
     except OverflowError:
-        raise ContractError("flow cost overflows: the optimum or a potential "
-                            "is not a finite float") from None
+        raise ContractError("flow cost overflows: the optimum is not a finite float") from None
     return FlowResult(
         flow=flow_out,
         potentials=potentials,
@@ -410,35 +422,31 @@ class _LabelPrepass:
     """Exact phase labels with array code, for dense solve_flow instances.
 
     Each phase it returns every node's label and its tight forward arcs,
-    label[u] + rc(u, w) == label[w], in stable head order.  Over those
-    arcs the first arc to reach a node offers exactly its label, so the
+    label[u] + rc(u, w) == label[w], in arc order.  Over those arcs the
+    first arc to reach a node offers exactly its label, so the
     first-offer loop pushes each node once, at that label; the module
     docstring says why that settles the nodes of a full scan in its order.
     Components of the flow support share one label, so the Bellman-Ford
-    rounds run on contracted arcs, and backward arcs, which lie inside a
-    component, are always scanned.  It returns None, and the phase scans
-    every arc, when a potential exceeds _LABEL_CAP or a deficit's label
-    saturates there.
+    rounds run between components, on the |sources| x |sinks| matrix of
+    reduced costs, and backward arcs, which lie inside a component, are
+    always scanned.
     """
 
-    def __init__(self, arcs: np.ndarray, cost: np.ndarray):
-        # the arcs in stable head order, so that one reduceat per round
-        # finds the least offer into each head, with their residual entries
-        order = np.argsort(arcs[:, 1], kind="stable")
-        self.tails, self.heads = arcs[order].T
-        self.cost = cost[order]
-        self.entries = list(zip(self.heads.tolist(), order.tolist()))
-        self.starts = np.flatnonzero(np.concatenate([[True], self.heads[1:] != self.heads[:-1]]))
-        self.run_heads = self.heads[self.starts]
+    def __init__(self, cost: np.ndarray, sources: np.ndarray, sinks: np.ndarray, top_cost: int):
+        self.cost, self.sources, self.sinks, self.top_cost = cost, sources, sinks, top_cost
 
-    def tight_arcs(self, pi: np.ndarray, sources: list[int],
-                   backward: list[dict[int, tuple[int, int, int]]], excess: list[int]
-                   ) -> tuple[list[list[tuple[int, int]]], np.ndarray] | None:
-        """Each node's tight forward residual arcs and its exact label, or None."""
-        # the sources keep pi = 0, so max(pi) is its spread: reduced costs are
-        # then below 2**62, and a label plus a reduced cost stays below 2**63
-        if pi.max() > _LABEL_CAP:
-            return None
+    def tight_arcs(self, pi: np.ndarray, zero: list[int],
+                   backward: list[dict[int, tuple[int, int, int]]]
+                   ) -> tuple[list[list[tuple[int, int]]], np.ndarray]:
+        """Each node's tight forward residual arcs and its exact label.
+
+        The nodes in zero, the active sources and the idle nodes, have
+        label 0.
+        """
+        # the module docstring says why no potential passes the largest grid
+        # cost; below it, every sum here stays far inside int64
+        if pi.max() > self.top_cost:
+            raise SolverError("a flow potential passed the largest grid cost")
         n = len(pi)
         # union-find over the flow arcs, the lower root on top, so that one
         # ascending pass points every node at its component's least node;
@@ -461,30 +469,25 @@ class _LabelPrepass:
             root[x] = root[root[x]]
         comp = np.array(root)
 
-        rc = self.cost + pi[self.tails] - pi[self.heads]
-        tail_comp = comp[self.tails]
-        run_comp = comp[self.run_heads]
-        label = np.full(n, _LABEL_CAP, dtype=np.int64)
-        label[comp[sources]] = 0
-        # Bellman-Ford rounds until no component label drops; a label only
-        # takes an offer below the one it holds, so it stays <= _LABEL_CAP
+        rc = self.cost + pi[self.sources][:, None] - pi[self.sinks]
+        source_comp, sink_comp = comp[self.sources][:, None], comp[self.sinks]
+        # every exact label is at most the largest grid cost, so the labels
+        # start there; Bellman-Ford rounds until no component label drops
+        label = np.full(n, self.top_cost, dtype=np.int64)
+        label[comp[zero]] = 0
         while True:
-            offer = label[tail_comp] + rc
-            best = np.minimum.reduceat(offer, self.starts)
-            if not (best < label[run_comp]).any():
+            offer = label[source_comp] + rc
+            best = offer.min(axis=0)
+            if not (best < label[sink_comp]).any():
                 break
-            np.minimum.at(label, run_comp, best)
+            np.minimum.at(label, sink_comp, best)
 
         node = label[comp]
-        # a saturated label is not exact, and the first-offer loop settles
-        # no node at the cap unless it is a deficit
-        if any(excess[x] < 0 for x in np.flatnonzero(node == _LABEL_CAP).tolist()):
-            return None
-        kept = np.flatnonzero(offer == node[self.heads])
+        kept = np.flatnonzero(offer == node[self.sinks])   # source-major, so in arc order
+        i, j = np.divmod(kept, self.sinks.size)
         scan: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        entries = self.entries
-        for u, i in zip(self.tails[kept].tolist(), kept.tolist()):
-            scan[u].append(entries[i])
+        for u, entry in zip(self.sources[i].tolist(), zip(self.sinks[j].tolist(), kept.tolist())):
+            scan[u].append(entry)
         return scan, node
 
 

@@ -561,7 +561,11 @@ def retract_l1_ball(y: Sequence[float] | np.ndarray) -> tuple[float, np.ndarray]
     if neg.size:
         i = int(neg[0])
         raise ContractError(f"entry {i} is negative ({y[i]!r}); the domain is y >= 0")
-    if math.fsum(float(v) for v in y) <= 1.0:
+    try:
+        total = math.fsum(y.tolist())
+    except OverflowError:   # fsum raises where the exact sum passes the largest float
+        raise ContractError("the entries' sum overflows a float") from None
+    if total <= 1.0:
         return 0.0, y.copy()
     s = np.sort(y)[::-1]
     css = np.cumsum(s)

@@ -484,6 +484,14 @@ def test_cli_retract(tmp_path, capsys):
     assert payload == {"g": 1.0, "r": [1.0, 0.0]}
 
 
+def test_cli_retract_on_entries_whose_sum_overflows_exits_one(tmp_path, capsys):
+    y = tmp_path / "y.json"
+    y.write_text("[1e308, 1e308]\n")
+    code, out, err = run_cli(capsys, "retract", str(y))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "sum overflows" in err
+
+
 def test_cli_report_is_deterministic(files, capsys):
     argv = ("report", files["space.json"], "--seed", "7", "--sizes", "2,3")
     code1, out1, _ = run_cli(capsys, *argv)

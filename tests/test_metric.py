@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -20,13 +21,16 @@ from krext import (
     ContractError,
     FiniteMetricSpace,
     MalformedInputError,
+    SignedMeasure,
     Subspace,
     Violation,
     doubling_estimate,
+    kr_norm,
     restrict,
     require_valid_metric,
     subspace_from_labels,
     validate_metric,
+    verify_duality,
 )
 from krext import metric
 
@@ -175,6 +179,31 @@ def test_three_point_space_is_valid():
     d = space.dist
     for i, j, k in itertools.permutations(range(3)):
         assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
+
+
+def far_three_point() -> FiniteMetricSpace:
+    """Three points, each pair at distance 1e308: every sum of two overflows."""
+    dist = np.full((3, 3), 1e308)
+    np.fill_diagonal(dist, 0.0)
+    return FiniteMetricSpace(("a", "b", "c"), dist)
+
+
+def test_space_whose_triangle_sums_overflow_is_valid():
+    # every d(i, j) + d(j, k) overflows to +inf, which no distance exceeds;
+    # pytest turns the overflow warning into an error
+    assert validate_metric(far_three_point()) == []
+
+
+def test_kr_norm_certifies_a_dirac_difference_at_the_largest_distances():
+    # the certificate's g_i - g_j - d(i, j) overflows to -inf, on the safe
+    # side; pytest turns the overflow warning into an error
+    space = far_three_point()
+    res = kr_norm(SignedMeasure.dirac(space, 1) - SignedMeasure.dirac(space, 2))
+    assert (res.value, res.gap) == (1e308, 0.0)
+    assert verify_duality(res) == (True, "ok")
+    # mass times diameter overflows, yet the certificate still refuses a wrong value
+    ok, msg = verify_duality(dataclasses.replace(res, value=1.0))
+    assert not ok and "disagrees with the reported value" in msg
 
 
 def test_triangle_violation_reported_with_excess():

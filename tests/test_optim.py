@@ -34,28 +34,46 @@ from krext.optim import (
     solve_lp,
 )
 from test_metric import grid_space, three_point
+from test_transport import scaled
 
 
 # ---------------------------------------------------------------------------
 # min-cost flow
 
 
-def flow_problem(n, supplies, triples):
-    """A FlowProblem from (tail, head, cost) triples."""
-    triples = tuple(triples)
-    arcs = np.array([(u, v) for u, v, _ in triples], dtype=np.int64).reshape(-1, 2)
-    return FlowProblem(n, supplies, arcs, np.array([c for _, _, c in triples], dtype=float))
+def flow_problem(supplies, triples):
+    """A FlowProblem from supplies and (source, sink, cost) triples.
+
+    A source -> sink pair that no triple names costs NaN, which solve_flow
+    refuses once the supplies pass their checks.
+    """
+    supplies = np.asarray(supplies, dtype=float)
+    rows = {int(u): i for i, u in enumerate((supplies > 0.0).nonzero()[0])}
+    cols = {int(v): j for j, v in enumerate((supplies < 0.0).nonzero()[0])}
+    cost = np.full((len(rows), len(cols)), math.nan)
+    for u, v, c in triples:
+        cost[rows[u], cols[v]] = c
+    return FlowProblem(supplies, cost)
+
+
+def priced_by(supplies, full):
+    """The FlowProblem that prices each source -> sink arc (u, v) at full[u, v]."""
+    supplies = np.asarray(supplies, dtype=float)
+    return FlowProblem(supplies, full[np.ix_(supplies > 0.0, supplies < 0.0)])
 
 
 def solve_flow_loops(problem, tol=1e-9):
     """Reference solve_flow on paired residual edges, edge e ^ 1 reversing e.
 
-    The same primal-dual phases and grid as solve_flow, with every arc
-    stored as a capacitated forward edge and a backward edge that is
-    scanned even while it carries nothing.
+    The same primal-dual phases and grid as solve_flow, with the cost
+    matrix expanded into arcs and every arc stored as a capacitated
+    forward edge and a backward edge that is scanned even while it
+    carries nothing.  A node that is no sink and has no supply on the
+    grid sits at the largest grid cost and at distance 0, as in
+    solve_flow.
     """
     n = problem.n_nodes
-    triples = [(int(u), int(v), float(c)) for (u, v), c in zip(problem.arcs, problem.costs)]
+    triples = [(int(u), int(v), float(c)) for (u, v), c in zip(problem.arcs, problem.cost.ravel())]
     supply_shift = _grid_exponent(float(np.max(np.abs(problem.supplies), initial=0.0)))
     cost_shift = _grid_exponent(max((c for _, _, c in triples), default=0.0))
     b, cum, prev = [], 0.0, 0
@@ -75,7 +93,10 @@ def solve_flow_loops(problem, tol=1e-9):
         adj[u].append(len(head)); head.append(v); cap.append(inf_cap); cost.append(cq)
         adj[v].append(len(head)); head.append(u); cap.append(0); cost.append(-cq)
     excess = list(b)
+    idle = [v for v in range(n) if b[v] == 0 and problem.supplies[v] >= 0.0]
     pi = [0] * n
+    for v in idle:
+        pi[v] = max(cost, default=0)   # the largest forward cost on the grid
     phases = augmentations = 0
     while total_excess > 0:
         phases += 1
@@ -83,6 +104,8 @@ def solve_flow_loops(problem, tol=1e-9):
         parent_edge = [-1] * n
         pq = [(0, s) for s in range(n) if excess[s] > 0]
         for _, s in pq:
+            dist[s] = 0
+        for s in idle:
             dist[s] = 0
         deficits = sum(1 for x in excess if x < 0)
         reached = []
@@ -146,19 +169,19 @@ def solve_flow_loops(problem, tol=1e-9):
 
 
 def test_flow_single_node():
-    res = solve_flow(flow_problem(1, np.array([0.0]), ()))
+    res = solve_flow(flow_problem([0.0], ()))
     assert res.cost == 0.0
     assert res.flow.size == 0
 
 
 def test_flow_without_nodes():
     # no nodes and no arcs meets any arcs-per-node density gate
-    res = solve_flow(flow_problem(0, np.zeros(0), ()))
+    res = solve_flow(flow_problem(np.zeros(0), ()))
     assert (res.cost, res.flow.size, res.potentials.size, res.phases) == (0.0, 0, 0, 0)
 
 
 def test_flow_two_nodes_forced_arc():
-    res = solve_flow(flow_problem(2, np.array([1.0, -1.0]), ((0, 1, 1.5),)))
+    res = solve_flow(flow_problem([1.0, -1.0], ((0, 1, 1.5),)))
     assert res.cost == pytest.approx(1.5, abs=0.0)
     assert res.flow[0] == pytest.approx(1.0, abs=0.0)
     # dual: potentials certify the cost through the supplies
@@ -167,20 +190,30 @@ def test_flow_two_nodes_forced_arc():
 
 def test_flow_rejects_unbalanced_supplies():
     with pytest.raises(ContractError):
-        solve_flow(flow_problem(2, np.array([1.0, -0.5]), ((0, 1, 1.0),)))
+        solve_flow(flow_problem([1.0, -0.5], ((0, 1, 1.0),)))
 
 
-def test_flow_rejects_disconnected_demand():
-    with pytest.raises(ContractError, match="unreachable"):
-        solve_flow(flow_problem(3, np.array([1.0, -1.0, 0.0]), ((0, 2, 1.0),)))
+@pytest.mark.parametrize("supplies", [
+    # the running sums stop at 2**-31, which the last node, a source, takes
+    [1.0, -1.0 + 2.0 ** -31, 1e-12],
+    # ... and here a node of zero supply, which has no arcs
+    [1.0, -1.0 + 2.0 ** -31, 0.0],
+])
+def test_flow_rejects_a_last_supply_that_rounding_moves_across_zero(supplies):
+    # both balance to within 1e-9, but the grid would turn the last node into
+    # a deficit that no arc reaches
+    problem = priced_by(supplies, np.ones((3, 3)))
+    with pytest.raises(ContractError, match="the grid moves the last supply across zero"):
+        solve_flow(problem)
 
 
 def _tree_flow_cost(n, arcs, supplies):
-    """Cost of the unique tree-supported feasible flow, or None.
+    """Cost of the cheapest tree-supported feasible flow.
 
-    arcs is a dict (u, v) -> cost over ordered pairs; a spanning tree is
-    given as an undirected edge list.  Flow on each edge is determined
-    leaf by leaf; a negative amount means the reverse arc carries it.
+    arcs is a dict (u, v) -> cost over ordered pairs, +inf where there is
+    no arc; a spanning tree is given as an undirected edge list.  Flow on
+    each edge is determined leaf by leaf; a negative amount means the
+    reverse arc carries it.
     """
 
     def solve_tree(edges):
@@ -199,9 +232,10 @@ def _tree_flow_cost(n, arcs, supplies):
                 v for v in adj[leaf] if frozenset((leaf, v)) in remaining
             )
             amount = need[leaf]  # everything at the leaf crosses its only edge
-            if amount >= 0:
+            # an edge that carries nothing costs nothing, even where it has no arc
+            if amount > 0:
                 cost += amount * arcs[(leaf, nbr)]
-            else:
+            elif amount < 0:
                 cost += -amount * arcs[(nbr, leaf)]
             need[nbr] += amount
             need[leaf] = 0.0
@@ -237,6 +271,13 @@ def _tree_flow_cost(n, arcs, supplies):
     return best
 
 
+def _transport_arcs(supplies, full):
+    """full[u, v] on each source -> sink pair and +inf on every other ordered pair."""
+    n = len(supplies)
+    return {(u, v): float(full[u, v]) if supplies[u] > 0 > supplies[v] else math.inf
+            for u in range(n) for v in range(n) if u != v}
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_flow_matches_spanning_tree_enumeration(seed):
@@ -244,16 +285,9 @@ def test_flow_matches_spanning_tree_enumeration(seed):
     n = 6
     supplies = rng.integers(-4, 5, size=n).astype(float)
     supplies[-1] -= supplies.sum()
-    costs = {}
-    arcs = []
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                c = float(rng.integers(1, 10))
-                costs[(u, v)] = c
-                arcs.append((u, v, c))
-    res = solve_flow(flow_problem(n, supplies, tuple(arcs)))
-    oracle = _tree_flow_cost(n, costs, supplies)
+    full = rng.integers(1, 10, size=(n, n)).astype(float)
+    res = solve_flow(priced_by(supplies, full))
+    oracle = _tree_flow_cost(n, _transport_arcs(supplies, full), supplies)
     assert res.cost == pytest.approx(oracle, abs=1e-9)
 
 
@@ -267,10 +301,9 @@ def test_flow_on_grid_distances_matches_spanning_tree_enumeration(seed):
     xy = np.stack(np.divmod(rng.choice(36, size=n, replace=False), 6), axis=1)
     supplies = rng.integers(-3, 4, size=n).astype(float)
     supplies[-1] -= supplies.sum()
-    costs = {(u, v): float(np.abs(xy[u] - xy[v]).sum())
-             for u in range(n) for v in range(n) if u != v}
-    res = solve_flow(flow_problem(n, supplies, tuple((u, v, c) for (u, v), c in costs.items())))
-    assert res.cost == _tree_flow_cost(n, costs, supplies)
+    full = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2).astype(float)
+    res = solve_flow(priced_by(supplies, full))
+    assert res.cost == _tree_flow_cost(n, _transport_arcs(supplies, full), supplies)
     assert res.phases <= res.augmentations
 
 
@@ -281,11 +314,8 @@ def test_flow_phases_never_exceed_augmentations(seed):
     n = int(rng.integers(2, 12))
     supplies = rng.uniform(-2, 2, size=n)
     supplies[-1] -= supplies.sum()
-    arcs = tuple(
-        (u, v, float(rng.integers(0, 4) if seed % 2 else rng.uniform(0.0, 3.0)))
-        for u in range(n) for v in range(n) if u != v
-    )
-    res = solve_flow(flow_problem(n, supplies, arcs))
+    full = rng.integers(0, 4, size=(n, n)).astype(float) if seed % 2 else rng.uniform(0.0, 3.0, (n, n))
+    res = solve_flow(priced_by(supplies, full))
     assert 1 <= res.phases <= res.augmentations
 
 
@@ -309,9 +339,7 @@ def test_flow_phase_feeds_several_augmentations():
 
 def test_flow_grid_is_relative_to_the_problem_scale():
     # costs and supplies far below unit scale keep their full precision
-    supplies = np.array([3e-30, -1e-30, -2e-30])
-    arcs = ((0, 1, 5e-26), (0, 2, 7e-26))
-    res = solve_flow(flow_problem(3, supplies, arcs))
+    res = solve_flow(flow_problem([3e-30, -1e-30, -2e-30], ((0, 1, 5e-26), (0, 2, 7e-26))))
     assert res.cost == pytest.approx(1.9e-55, rel=1e-15, abs=0.0)
     assert list(res.flow) == pytest.approx([1e-30, 2e-30], rel=1e-15, abs=0.0)
 
@@ -319,29 +347,26 @@ def test_flow_grid_is_relative_to_the_problem_scale():
 def test_flow_duals_certify_cost():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        space = three_point()
         n = int(rng.integers(2, 7))
         supplies = rng.uniform(-2, 2, size=n)
         supplies[-1] -= supplies.sum()
-        arcs = tuple(
-            (u, v, float(rng.uniform(0.1, 3.0)))
-            for u in range(n) for v in range(n) if u != v
-        )
-        res = solve_flow(flow_problem(n, supplies, arcs))
+        full = rng.uniform(0.1, 3.0, size=(n, n))
+        problem = priced_by(supplies, full)
+        res = solve_flow(problem)
         dual = math.fsum(res.potentials[i] * supplies[i] for i in range(n))
         assert dual == pytest.approx(res.cost, abs=1e-9)
-        for k, (u, v, c) in enumerate(arcs):
-            assert res.potentials[u] - res.potentials[v] <= c + 1e-9
+        for k, (u, v) in enumerate(problem.arcs):
+            assert res.potentials[u] - res.potentials[v] <= full[u, v] + 1e-9
             if res.flow[k] > 1e-9:
-                assert res.potentials[u] - res.potentials[v] == pytest.approx(c, abs=1e-9)
+                assert res.potentials[u] - res.potentials[v] == pytest.approx(full[u, v], abs=1e-9)
 
 
 def test_flow_homogeneity_is_exact():
     # power-of-two scaling of supplies scales flows and cost exactly
     supplies = np.array([0.3, -0.7, 0.4])
-    arcs = ((0, 1, 1.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 2.0), (1, 2, 1.5), (2, 1, 1.5))
-    base = solve_flow(flow_problem(3, supplies, arcs))
-    scaled = solve_flow(flow_problem(3, supplies * 4.0, arcs))
+    triples = ((0, 1, 1.0), (2, 1, 1.5))
+    base = solve_flow(flow_problem(supplies, triples))
+    scaled = solve_flow(flow_problem(supplies * 4.0, triples))
     assert scaled.cost == base.cost * 4.0
 
 
@@ -364,18 +389,17 @@ def assert_same_flow(problem, exact_path):
     return new
 
 
-def count_prepass_phases(monkeypatch):
-    """One entry per phase that calls the label pre-pass: whether it filtered the arcs."""
-    phases = []
+def record_prepass(monkeypatch):
+    """One (largest potential, largest grid cost) pair per label pre-pass call."""
+    calls = []
     real = optim._LabelPrepass.tight_arcs
 
-    def spy(self, *args):
-        scan = real(self, *args)
-        phases.append(scan is not None)
-        return scan
+    def spy(self, pi, *args):
+        calls.append((int(pi.max()), self.top_cost))
+        return real(self, pi, *args)
 
     monkeypatch.setattr(optim._LabelPrepass, "tight_arcs", spy)
-    return phases
+    return calls
 
 
 @pytest.mark.parametrize("kind", ["kr", "w1"])
@@ -401,79 +425,52 @@ def test_flow_matches_the_paired_edge_reference_on_transport(kind, sparse, monke
                 mu, eta = (SignedMeasure(space, dict(zip(support.tolist(), r.tolist()))) for r in w)
                 transport.w1(mu, eta)
     assert len(seen) == 4
-    prepass = count_prepass_phases(monkeypatch)
+    prepass = record_prepass(monkeypatch)
     for problem in seen:
         before = len(prepass)
         res = assert_same_flow(problem, exact_path=True)
-        # only full support at n=100 is dense enough; there every phase has headroom
+        # only full support at n=100 is dense enough
         dense = problem is seen[-1] and not sparse
-        assert prepass[before:] == [True] * (res.phases if dense else 0)
+        assert len(prepass) - before == (res.phases if dense else 0)
+
+
+def _balanced_supplies(rng, n):
+    """Random supplies on n nodes, the last balancing the rest, and the source and sink counts."""
+    supplies = rng.uniform(-2, 2, size=n)
+    supplies[-1] -= supplies.sum()
+    return supplies, (supplies > 0.0).sum(), (supplies < 0.0).sum()
 
 
 @pytest.mark.parametrize("kind", ["uniform", "spread", "integer"])
 def test_flow_matches_the_paired_edge_reference_on_complete_digraphs(kind, monkeypatch):
-    # spread costs span 2**-40..3, so most leave fractional bits on the grid;
-    # the last digraph has 19..39 arcs per node, so the label pre-pass runs
-    prepass = count_prepass_phases(monkeypatch)
+    # complete bipartite digraphs from the sources to the sinks; spread costs
+    # span 2**-40..3, so most leave fractional bits on the grid; the last has
+    # 80..99 nodes and so at least DENSE_ARCS_PER_NODE arcs per node, and the
+    # label pre-pass runs
+    prepass = record_prepass(monkeypatch)
     rng = np.random.default_rng(62)
     for i in range(26):
-        n = int(rng.integers(2, 14) if i < 25 else rng.integers(20, 41))
-        supplies = rng.uniform(-2, 2, size=n)
-        supplies[-1] -= supplies.sum()
-        arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        costs = rng.uniform(0.0, 3.0, len(arcs))
+        n = int(rng.integers(2, 14) if i < 25 else rng.integers(80, 100))
+        supplies, n_sources, n_sinks = _balanced_supplies(rng, n)
+        costs = rng.uniform(0.0, 3.0, (n_sources, n_sinks))
         if kind == "spread":
-            costs *= 2.0 ** rng.integers(-40, 1, len(arcs))
+            costs *= 2.0 ** rng.integers(-40, 1, costs.shape)
         elif kind == "integer":
             costs = np.round(costs)
-        problem = FlowProblem(n, supplies, np.array(arcs), costs)
+        problem = FlowProblem(supplies, costs)
         before = len(prepass)
         res = assert_same_flow(problem, exact_path=kind != "integer")
-        assert prepass[before:] == [True] * (res.phases if i == 25 else 0)
-
-
-def test_flow_keeps_the_first_of_parallel_arcs_on_the_dense_path(monkeypatch):
-    # a complete digraph with a quarter of its arcs doubled, in shuffled arc
-    # order: the pre-pass lists arcs by head, and between parallel arcs of
-    # equal cost the one first in arc order must win, as in a full scan
-    prepass = count_prepass_phases(monkeypatch)
-    rng = np.random.default_rng(66)
-    n = 24
-    u, v = np.nonzero(~np.eye(n, dtype=bool))
-    costs = rng.uniform(0.0, 3.0, u.size)
-    twin = rng.choice(u.size, size=u.size // 4, replace=False)
-    u, v, costs = (np.concatenate([x, x[twin]]) for x in (u, v, costs))
-    shuffle = rng.permutation(u.size)
-    supplies = rng.uniform(-2, 2, size=n)
-    supplies[-1] -= supplies.sum()
-    problem = FlowProblem(n, supplies, np.column_stack([u, v])[shuffle], costs[shuffle])
-    res = assert_same_flow(problem, exact_path=True)
-    assert prepass == [True] * res.phases
-    doubled = np.isin(shuffle, twin) | (shuffle >= n * (n - 1))
-    assert any(res.flow_int[k] for k in np.flatnonzero(doubled))
+        assert (costs.size >= optim.DENSE_ARCS_PER_NODE * n) == (i == 25)
+        assert len(prepass) - before == (res.phases if i == 25 else 0)
 
 
 def _tied_dense_problems():
     """Dense flow problems whose shortest-path labels tie often."""
     rng = np.random.default_rng(67)
-    # complete digraphs with costs in {0, 1, 2, 3}
+    # complete bipartite digraphs with costs in {0, 1, 2, 3}
     for _ in range(6):
-        n = int(rng.integers(20, 41))
-        u, v = np.nonzero(~np.eye(n, dtype=bool))
-        supplies = rng.uniform(-2, 2, size=n)
-        supplies[-1] -= supplies.sum()
-        yield FlowProblem(n, supplies, np.column_stack([u, v]), np.round(rng.uniform(0.0, 3.0, u.size)))
-    # the doubled-arc digraph of test_flow_keeps_the_first_of_parallel_arcs_on_the_dense_path
-    rng = np.random.default_rng(66)
-    n = 24
-    u, v = np.nonzero(~np.eye(n, dtype=bool))
-    costs = rng.uniform(0.0, 3.0, u.size)
-    twin = rng.choice(u.size, size=u.size // 4, replace=False)
-    u, v, costs = (np.concatenate([x, x[twin]]) for x in (u, v, costs))
-    shuffle = rng.permutation(u.size)
-    supplies = rng.uniform(-2, 2, size=n)
-    supplies[-1] -= supplies.sum()
-    yield FlowProblem(n, supplies, np.column_stack([u, v])[shuffle], costs[shuffle])
+        supplies, n_sources, n_sinks = _balanced_supplies(rng, int(rng.integers(80, 100)))
+        yield FlowProblem(supplies, np.round(rng.uniform(0.0, 3.0, (n_sources, n_sinks))))
     # kr_norm at full support on the 10 x 10 grid's integer path metric
     seen = []
     with pytest.MonkeyPatch.context() as mp:
@@ -483,19 +480,33 @@ def _tied_dense_problems():
     yield seen.pop()
 
 
+def test_flow_labels_may_reach_the_largest_grid_cost(monkeypatch):
+    # the pre-pass starts every label at the largest grid cost, so that start
+    # must not cut a label short: every arc into the first sink costs the
+    # largest cost, so the first phase labels that sink with exactly it
+    prepass = record_prepass(monkeypatch)
+    rng = np.random.default_rng(69)
+    supplies, n_sources, n_sinks = _balanced_supplies(rng, 90)
+    costs = rng.uniform(0.0, 1.0, (n_sources, n_sinks))
+    costs[:, 0] = 2.0
+    res = assert_same_flow(FlowProblem(supplies, costs), exact_path=True)
+    assert len(prepass) == res.phases
+    assert res.potentials[np.flatnonzero(supplies < 0.0)[0]] == -2.0
+
+
 def test_first_offer_phases_match_the_full_scan_where_labels_tie(monkeypatch):
     # each problem solved with the label pre-pass in every phase and again
     # with a gate above its arc count, so every phase scans every arc: with
     # integer costs many labels tie, and a wrong tie-break in the pre-pass's
     # first-offer loop would pick another tree arc, hence another run
     problems = list(_tied_dense_problems())
-    prepass = count_prepass_phases(monkeypatch)
+    prepass = record_prepass(monkeypatch)
     for problem in problems:
         before = len(prepass)
         dense = solve_flow(problem)
-        assert prepass[before:] == [True] * dense.phases
+        assert len(prepass) - before == dense.phases
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optim, "DENSE_ARCS_PER_NODE", problem.costs.size + 1)
+            mp.setattr(optim, "DENSE_ARCS_PER_NODE", problem.cost.size + 1)
             full = solve_flow(problem)
         assert len(prepass) == before + dense.phases
         assert dense.flow_int == full.flow_int
@@ -503,47 +514,62 @@ def test_first_offer_phases_match_the_full_scan_where_labels_tie(monkeypatch):
         assert (dense.phases, dense.augmentations) == (full.phases, full.augmentations)
 
 
-def _circulant_problem(sinks):
-    """A circulant digraph, each node with arcs to its next 17: dense but not complete."""
-    rng = np.random.default_rng(65)
-    n, reach = 160, 17
-    u = np.repeat(np.arange(n), reach)
-    v = (u + np.tile(np.arange(1, reach + 1), n)) % n
-    costs = rng.uniform(1.0, 2.0, u.size)
-    supplies = np.zeros(n)
-    supplies[[0, 1, 2]] = [1.5, 1.0, 0.5]
-    supplies[sinks] = [-0.5, -0.75, -0.75, -1.0]
-    return FlowProblem(n, supplies, np.column_stack([u, v]), costs)
+@pytest.mark.parametrize("kind", ["kr", "w1"])
+def test_flow_potentials_stay_below_the_largest_grid_cost_on_transport(kind, monkeypatch):
+    # the pre-pass raises SolverError if a potential passes the largest grid
+    # cost; across both generators, full and n/8 support and distances scaled
+    # by 2**-40, 1 and 2**40 it never does, and neither path's final
+    # potentials pass the largest cost
+    prepass = record_prepass(monkeypatch)
+    seen = []
+
+    def spy(problem, tol=1e-9):
+        seen.append((problem, solve_flow(problem, tol=tol)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(transport, "solve_flow", spy)
+    rng = np.random.default_rng(64 if kind == "kr" else 65)
+    for make in (rand_space, rand_repaired_space):
+        for sparse in (False, True):
+            for scale in (2.0 ** -40, 1.0, 2.0 ** 40):
+                space = scaled(make(rng, 100), scale)
+                support = rng.choice(100, size=12 if sparse else 100, replace=False).tolist()
+                w = rng.uniform(0.05, 1.0, size=(2, len(support)))
+                if kind == "kr":
+                    kr_norm(SignedMeasure(space, dict(zip(support, (w[0] - w[1]).tolist()))))
+                else:
+                    w /= w.sum(axis=1, keepdims=True)
+                    transport.w1(*(SignedMeasure(space, dict(zip(support, r.tolist()))) for r in w))
+    assert len(seen) == 12
+    assert len(prepass) == sum(res.phases for problem, res in seen
+                               if problem.cost.size >= optim.DENSE_ARCS_PER_NODE * problem.n_nodes)
+    assert all(largest <= top for largest, top in prepass)
+    for problem, res in seen:
+        assert -res.potentials.min() <= problem.cost.max()
 
 
-def test_flow_keeps_exact_paths_when_labels_outgrow_the_int64_headroom(monkeypatch):
-    # mass crosses the circulant in up to 10 hops, so the shortest-path
-    # labels pass 4x the largest cost: in the first phase the deficits'
-    # labels saturate, the pre-pass gives up, and every phase scans every arc
-    prepass = count_prepass_phases(monkeypatch)
-    problem = _circulant_problem([80, 120, 155, 159])
-    res = assert_same_flow(problem, exact_path=True)
-    assert np.ptp(res.potentials) > 4.0 * problem.costs.max()
-    assert res.phases > 1
-    assert prepass == [False]
-
-
-def test_first_offer_phases_skip_saturated_nodes_that_are_not_deficits(monkeypatch):
-    # the sinks lie one hop from the sources, so their labels are exact while
-    # the far side of the circulant saturates: every phase stays first-offer
-    labels = []
-    real = optim._LabelPrepass.tight_arcs
-
-    def spy(self, *args):
-        found = real(self, *args)
-        labels.append(None if found is None else found[1])
-        return found
-
-    monkeypatch.setattr(optim._LabelPrepass, "tight_arcs", spy)
-    res = assert_same_flow(_circulant_problem([8, 12, 15, 17]), exact_path=True)
-    assert len(labels) == res.phases > 1
-    assert all(label is not None for label in labels)
-    assert labels[0].max() == optim._LABEL_CAP
+def test_flow_keeps_idle_sources_at_the_largest_grid_cost(monkeypatch):
+    # a third of the points carry masses near 1e-23, which the grid rounds
+    # to zero: those sources ship nothing and nothing reaches them, and they
+    # stay at the largest cost instead of rising by the last label each phase
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "solve_flow", lambda problem, tol: seen.append(problem) or solve_flow(problem, tol))
+        rng = np.random.default_rng(68)
+        for n in (20, 100):
+            space = rand_space(rng, n)
+            coeff = rng.uniform(-2.0, 2.0, n)
+            tiny = rng.choice(n, size=n // 3, replace=False)
+            coeff[tiny] = rng.uniform(1e-25, 1e-22, tiny.size)
+            kr_norm(SignedMeasure(space, dict(enumerate(coeff.tolist()))))
+    prepass = record_prepass(monkeypatch)
+    for problem in seen:
+        res = assert_same_flow(problem, exact_path=True)
+        idle = (problem.supplies > 0.0) & (np.abs(problem.supplies) < 1e-20)
+        assert idle.any() and res.phases > 1
+        assert (res.potentials[idle] == -problem.cost.max()).all()
+        assert -res.potentials.min() <= problem.cost.max()
+    assert prepass and all(largest <= top for largest, top in prepass)
 
 
 def test_flow_matches_the_paired_edge_reference_on_the_grid_metric():
@@ -555,84 +581,82 @@ def test_flow_matches_the_paired_edge_reference_on_the_grid_metric():
         cells = rng.choice(36, size=n, replace=False)
         supplies = rng.integers(-3, 4, size=n).astype(float)
         supplies[-1] -= supplies.sum()
-        u, v = np.nonzero(~np.eye(n, dtype=bool))
-        problem = FlowProblem(n, supplies, np.column_stack([u, v]), dist[cells[u], cells[v]])
-        assert_same_flow(problem, exact_path=False)
+        assert_same_flow(priced_by(supplies, dist[np.ix_(cells, cells)]), exact_path=False)
 
 
-@pytest.mark.parametrize("arcs, costs", [
-    (np.array([0, 1]), np.array([1.0])),
-    (np.array([[0, 1, 2]]), np.array([1.0])),
-    (np.array([[0, 1]]), np.array([1.0, 2.0])),
-    (np.array([[0, 1]]), np.array([[1.0]])),
+@pytest.mark.parametrize("cost", [
+    np.array([1.0]),
+    np.array([[1.0, 2.0]]),
+    np.array([[1.0], [2.0]]),
+    np.array([[[1.0]]]),
 ])
-def test_flow_rejects_mismatched_arc_and_cost_shapes(arcs, costs):
-    with pytest.raises(ContractError, match=r"arcs must have shape \(m, 2\) and costs shape \(m,\)"):
-        solve_flow(FlowProblem(2, np.array([1.0, -1.0]), arcs, costs))
+def test_flow_rejects_a_cost_matrix_of_the_wrong_shape(cost):
+    with pytest.raises(ContractError, match=r"not \(sources, sinks\) = \(1, 1\)"):
+        solve_flow(FlowProblem(np.array([1.0, -1.0]), cost))
 
 
-@pytest.mark.parametrize("triples, message", [
-    (((0, 1, 1.0), (2, 2, 1.0), (0, 3, 1.0)), "self-loop arc at node 2"),
-    (((0, 1, 1.0), (0, 3, 1.0), (2, 2, 1.0)), r"arc \(0,3\) out of range"),
-    (((0, 1, -1.0), (0, 3, 1.0)), r"arc \(0,1\) needs a finite nonnegative cost"),
-    (((0, 1, 1.0), (1, 0, math.nan), (0, -1, 1.0)), r"arc \(1,0\) needs a finite"),
-    (((1, 0, math.inf),), r"arc \(1,0\) needs a finite"),
-    (((0, 1, 1.0), (1, 0, -math.inf)), r"arc \(1,0\) needs a finite"),
-    (((0, 1, 1.0), (1, 3, 1.0)), r"arc \(1,3\) out of range"),
-    (((0, 1, 1.0), (-1, 2, 1.0)), r"arc \(-1,2\) out of range"),
-    (((0, 1, 1.0), (2, 2, 0.5)), "self-loop arc at node 2"),
-    (((0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0), (0, 2, 0.0), (1, 1, 1.0), (0, 5, 1.0),
-      (2, 1, -1.0)), "self-loop arc at node 1"),
-    (((0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0), (0, 2, math.nan), (1, 1, 1.0), (3, 0, 1.0)),
-     r"arc \(0,2\) needs a finite"),
+def test_flow_rejects_supplies_that_are_not_a_vector():
+    with pytest.raises(ContractError, match="supplies must be a vector"):
+        solve_flow(FlowProblem(np.array([[1.0, -1.0]]), np.ones((1, 1))))
+
+
+@pytest.mark.parametrize("supplies, triples, message", [
+    ([1.0, -1.0], ((0, 1, -1.0),), r"arc \(0,1\) needs a finite nonnegative cost"),
+    ([1.0, -0.5, -0.5], ((0, 1, 1.0), (0, 2, math.nan)), r"arc \(0,2\) needs a finite"),
+    ([-1.0, 1.0], ((1, 0, math.inf),), r"arc \(1,0\) needs a finite"),
+    ([1.0, -1.0, 1.0, -1.0], ((0, 1, 1.0), (0, 3, -math.inf), (2, 1, math.nan), (2, 3, 1.0)),
+     r"arc \(0,3\) needs a finite"),
+    # source-major: (1,3) comes before (2,0), though sink 0 precedes sink 3
+    ([-1.0, 1.0, 1.0, -1.0], ((1, 0, 1.0), (1, 3, math.nan), (2, 0, -1.0), (2, 3, 0.0)),
+     r"arc \(1,3\) needs a finite"),
 ])
-def test_flow_names_the_first_offending_arc(triples, message):
+def test_flow_names_the_first_offending_arc(supplies, triples, message):
     with pytest.raises(ContractError, match=message):
-        solve_flow(flow_problem(3, np.array([1.0, -1.0, 0.0]), triples))
+        solve_flow(flow_problem(supplies, triples))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_flow_rejects_non_finite_supplies(bad):
     with pytest.raises(ContractError, match="supplies must be finite"):
-        solve_flow(flow_problem(3, np.array([1.0, bad, -1.0]), ((0, 2, 1.0),)))
+        solve_flow(flow_problem([1.0, bad, -1.0], ((0, 2, 1.0),)))
 
 
 def test_flow_accepts_finite_supplies_whose_total_mass_overflows():
     # |supplies| sums to inf, yet every supply is finite and they balance
     with np.errstate(over="ignore"):
-        res = solve_flow(flow_problem(2, np.array([1.5e308, -1.5e308]), ((0, 1, 0.5),)))
+        res = solve_flow(flow_problem([1.5e308, -1.5e308], ((0, 1, 0.5),)))
     assert res.cost == 0.75e308
 
 
 @pytest.mark.parametrize("supplies, triples", [
     # |supplies| sums to inf; the net 1e307 would land on node 3, whose supply is 0
-    ([1.5e308, -1.5e308, 1e307, 0.0], ((0, 1, 1.0), (2, 3, 1.0))),
+    ([1.5e308, -1.5e308, 1e307, 0.0], ((0, 1, 1.0), (2, 1, 1.0))),
     # the pairwise float sum is inf - inf = NaN; the net 1e300 is 2.5e-9 of the size
     ([1e308, -1e308, *[0.0] * 6, 1e308, -1e308, *[0.0] * 5, 1e300], ((0, 1, 0.25), (8, 9, 0.25))),
 ])
 def test_flow_rejects_unbalanced_supplies_whose_float_sums_overflow(supplies, triples):
     with pytest.raises(ContractError, match="unbalanced supplies"):
-        solve_flow(flow_problem(len(supplies), np.array(supplies), triples))
+        solve_flow(flow_problem(supplies, triples))
 
 
 def test_flow_names_supplies_whose_running_sums_overflow():
     # each supply is finite, but 1e308 + 1e308 is not
-    problem = flow_problem(4, np.array([1e308, 1e308, -1e308, -1e308]), ((0, 2, 1.0), (1, 3, 1.0)))
+    problem = flow_problem([1e308, 1e308, -1e308, -1e308],
+                           ((0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ContractError, match="supplies overflow"):
         solve_flow(problem)
 
 
 @pytest.mark.parametrize("supplies, triples", [
-    # the optimum, 2 * 2e308, is not a float
-    ([1e308, -1e308, 1e308, -1e308], ((0, 1, 2.0), (2, 3, 2.0))),
-    # the cost, 3e8, is, but node 3's potential, -3e308, is not
-    ([1e-300, 0.0, 0.0, -1e-300], ((0, 1, 1e308), (1, 2, 1e308), (2, 3, 1e308))),
+    # the optimum, 2 * 2e308, is not a float; no potential passes the
+    # largest cost, so a potential cannot overflow
+    ([1e308, -1e308, 1e308, -1e308], ((0, 1, 2.0), (0, 3, 2.0), (2, 1, 2.0), (2, 3, 2.0))),
 ])
 def test_flow_names_a_cost_or_potential_that_overflows(supplies, triples):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ContractError, match="flow cost overflows"):
-        solve_flow(flow_problem(4, np.array(supplies), triples))
+        solve_flow(flow_problem(supplies, triples))
 
 
 # ---------------------------------------------------------------------------

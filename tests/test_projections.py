@@ -988,6 +988,12 @@ def test_retract_rejects_bad_input():
         retract_l1_ball(np.zeros((2, 2)))
 
 
+def test_retract_rejects_entries_whose_sum_overflows():
+    # each entry is finite, but their exact sum is not
+    with pytest.raises(ContractError, match="sum overflows"):
+        retract_l1_ball([1e308, 1e308])
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_retract_matches_bisection_oracle(seed):

@@ -426,9 +426,8 @@ def transport_loops(mu: SignedMeasure, eta: SignedMeasure | None = None, tol: fl
     sinks = [k for k, i in enumerate(nodes) if supplies[i] < 0.0]
     arcs = [(s, t) for s in sources for t in sinks]
     res = transport.solve_flow(FlowProblem(
-        len(nodes), np.array([supplies[i] for i in nodes]),
-        np.array(arcs, dtype=np.int64).reshape(-1, 2),
-        np.array([d[nodes[s], nodes[t]] for s, t in arcs])), tol=tol)
+        np.array([supplies[i] for i in nodes]),
+        np.array([d[nodes[s], nodes[t]] for s, t in arcs]).reshape(len(sources), len(sinks))), tol=tol)
     plan = {}
     for (s, t), f in zip(arcs, res.flow.tolist()):
         if f > 0.0:
