@@ -84,11 +84,17 @@ column: np.linalg.inv forms it at the start and every REFACTOR pivots,
 one rank-one (eta) update per pivot keeps it in between, and an
 "optimal" or "unbounded" verdict is only taken on a freshly formed one;
 phase 1 cannot be unbounded, so that verdict there raises SolverError.
-Optimal bases are certified before returning, on a fresh solve of the
-final basis that does not read the maintained inverse: primal residuals,
-dual residuals and complementary slackness are all rechecked against the
-caller's tolerance, the one solver option; pivot, stall, refactor and
-iteration limits are module constants.
+Phase 2 runs on the rows phase 1 ran on.  An artificial that phase 1
+leaves basic, at zero, stays basic and pinned at zero: it leaves at step
+0 as soon as an entering column has a usable entry in its row, of either
+sign, and artificials never re-enter.  A redundant row thus keeps its
+artificial to the end, and its dual, read off the artificial's cost of
+0, is 0.  Optimal bases are certified before returning, on a fresh solve
+of the final basis that does not read the maintained inverse: the primal
+residual over the real columns alone, so that an artificial left nonzero
+fails it, the dual residual and complementary slackness are all
+rechecked against the caller's tolerance, the one solver option; pivot,
+stall, refactor and iteration limits are module constants.
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -557,14 +564,13 @@ class _Simplex:
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = A
         self.b = b
-        self.m, self.n = A.shape
         self.basis: list[int] = []
         self.iterations = 0
 
-    def _solve_basis(self, rhs: np.ndarray, transpose=False) -> np.ndarray:
-        B = self.A[:, self.basis]
+    def _solve_basis(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve B^T y = rhs on a fresh factorisation of the basis B."""
         try:
-            return np.linalg.solve(B.T if transpose else B, rhs)
+            return np.linalg.solve(self.A[:, self.basis].T, rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular simplex basis: {exc}") from exc
 
@@ -574,16 +580,19 @@ class _Simplex:
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular simplex basis: {exc}") from exc
 
-    def run(self, c: np.ndarray, allowed: np.ndarray) -> tuple[str, np.ndarray]:
+    def run(self, c: np.ndarray, allowed: np.ndarray, pinned: Sequence[int] = ()) -> tuple[str, np.ndarray]:
         """Minimize c.x from the current basis; returns (status, xB).
 
-        allowed masks the columns that may enter.  Uses Dantzig pricing
-        until a degenerate stall, then Bland's rule for termination.
-        One explicit basis inverse serves x_B, the duals and the entering
-        column: it is formed at the start and every REFACTOR pivots, takes
-        a rank-one update per pivot in between, and is formed afresh
-        before a verdict is returned.
+        allowed masks the columns that may enter.  pinned lists rows whose
+        basic column is held at zero: once the entering column has a usable
+        entry in such a row, whatever its sign, the row leaves at step 0.
+        Uses Dantzig pricing until a degenerate stall, then Bland's rule
+        for termination.  One explicit basis inverse serves x_B, the duals
+        and the entering column: it is formed at the start and every
+        REFACTOR pivots, takes a rank-one update per pivot in between, and
+        is formed afresh before a verdict is returned.
         """
+        pinned = list(pinned)
         bland = False
         stall = 0
         best_obj = None
@@ -601,20 +610,26 @@ class _Simplex:
             if candidates.size:
                 j = int(candidates[0]) if bland else int(candidates[np.argmin(rc[candidates])])
                 d = Binv @ self.A[:, j]
-                pos = np.nonzero(d > max(PIVOT_TOL, PIVOT_REL * np.abs(d).max(initial=0.0)))[0]
-            if not candidates.size or not pos.size:
+                tiny = max(PIVOT_TOL, PIVOT_REL * np.abs(d).max(initial=0.0))
+                pos = np.nonzero(d > tiny)[0]
+                held = [r for r in pinned if abs(d[r]) > tiny]
+            if not candidates.size or not (pos.size or held):
                 if pivots:
                     # recheck the verdict on a fresh inverse, as the same iteration
                     self.iterations -= 1
                     Binv, pivots = self._inverse(), 0
                     continue
                 return ("unbounded" if candidates.size else "optimal"), xB
-            safe_xB = np.maximum(xB, 0.0)
-            ratios = safe_xB[pos] / d[pos]
-            theta = ratios.min()
-            ties = pos[np.nonzero(ratios <= theta + PIVOT_TOL * (1.0 + theta))[0]]
-            # Bland tie break: leave the smallest column index
-            leave_row = min(ties, key=lambda r: self.basis[int(r)])
+            if held:
+                leave_row = held[0]
+                pinned.remove(leave_row)
+            else:
+                safe_xB = np.maximum(xB, 0.0)
+                ratios = safe_xB[pos] / d[pos]
+                theta = ratios.min()
+                ties = pos[np.nonzero(ratios <= theta + PIVOT_TOL * (1.0 + theta))[0]]
+                # Bland tie break: leave the smallest column index
+                leave_row = min(ties, key=lambda r: self.basis[int(r)])
             obj = float(c[self.basis] @ xB)
             if best_obj is not None and obj > best_obj - STALL_PROGRESS * (1.0 + abs(best_obj)):
                 stall += 1
@@ -693,9 +708,10 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
     scale_b = float(np.max(np.abs(b2))) if m2 else 1.0
     feas_tol = tol * max(1.0, scale_b)
 
-    # artificials start basic and may leave, but never re-enter
+    # artificials start basic and may leave, but never re-enter; one still
+    # basic after phase 1 stays pinned at zero through phase 2
     allowed = np.arange(ntot) < nreal
-    row_keep = np.arange(m2)
+    pinned = []
     if artificial_rows.size:
         c_phase1 = (~allowed).astype(float)
         status, xB = sx.run(c_phase1, allowed)
@@ -705,28 +721,9 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
         phase1_obj = float(c_phase1[sx.basis] @ np.maximum(xB, 0.0))
         if phase1_obj > feas_tol:
             return LPResult("infeasible", None, None, None, sx.iterations)
-        # pivot leftover artificials out, or drop their rows as redundant;
-        # each pivot changes the basis that the next row's solve reads
-        dropped = np.zeros(m2, dtype=bool)
-        for r in np.flatnonzero(np.array(sx.basis) >= nreal).tolist():
-            w = np.zeros(m2)
-            w[r] = 1.0
-            row = sx._solve_basis(w, transpose=True) @ sx.A[:, :nreal]
-            open_cols = np.ones(ntot, dtype=bool)
-            open_cols[sx.basis] = False
-            pick = np.flatnonzero(open_cols[:nreal] & (np.abs(row) > PIVOT_TOL))
-            if pick.size:
-                sx.basis[r] = int(pick[0])
-            else:
-                dropped[r] = True
-        if dropped.any():
-            row_keep = np.flatnonzero(~dropped)
-            sx.A = A3[row_keep, :]
-            sx.b = b2[row_keep]
-            sx.m = row_keep.size
-            sx.basis = np.array(sx.basis)[row_keep].tolist()
+        pinned = np.flatnonzero(np.array(sx.basis) >= nreal).tolist()
 
-    status, xB = sx.run(c_phase2, allowed)
+    status, xB = sx.run(c_phase2, allowed, pinned)
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, sx.iterations)
 
@@ -738,19 +735,18 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
     x[~free] += p.lb[~free]
     objective = float(c0 @ x) + 0.0
 
-    # duals on the surviving rows, mapped back to the original rows
-    yb = sx._solve_basis(c_phase2[sx.basis], transpose=True)
-    y = np.zeros(m)
-    original = row_keep < m
-    y[row_keep[original]] = yb[original] * row_sign[row_keep[original]]
+    # duals of the original rows; a row whose artificial is still basic
+    # reads B^T y = c_B as y_r = 0
+    yb = sx._solve_basis(c_phase2[sx.basis])
+    y = yb[:m] * row_sign[:m]
 
-    # certification: primal feasibility, dual feasibility, strong duality
-    Ax = sx.A @ xfull[: sx.A.shape[1]]
-    p_res = float(np.max(np.abs(Ax - sx.b))) if sx.A.shape[0] else 0.0
-    rc = c_phase2 - yb @ sx.A
+    # certification: primal feasibility on the real columns alone, so an
+    # artificial left nonzero fails it; dual feasibility, strong duality
+    p_res = float(np.max(np.abs(A3[:, :nreal] @ xfull[:nreal] - b2))) if m2 else 0.0
+    rc = c_phase2 - yb @ A3
     d_res = float(max(0.0, -np.min(rc[:nreal]))) if nreal else 0.0
     cert_tol = tol * max(1.0, scale_b, float(np.max(np.abs(c_phase2))) if ntot else 1.0)
-    gap = abs(float(c_phase2[sx.basis] @ xB) - float(yb @ sx.b))
+    gap = abs(float(c_phase2[sx.basis] @ xB) - float(yb @ b2))
     if p_res > 100 * cert_tol or d_res > 100 * cert_tol or gap > 100 * cert_tol * (1.0 + abs(objective)):
         raise SolverError(
             f"optimal basis failed certification: primal {p_res:.2e}, dual {d_res:.2e}, gap {gap:.2e}"

@@ -893,7 +893,7 @@ def solve_lp_loops(problem, tol=1e-9):
     scale_b = float(np.max(np.abs(b2))) if m2 else 1.0
     feas_tol = tol * max(1.0, scale_b)
 
-    row_keep = list(range(m2))
+    pinned = []
     if artificial_cols:
         c_phase1 = np.zeros(ntot)
         for j in artificial_cols:
@@ -906,32 +906,14 @@ def solve_lp_loops(problem, tol=1e-9):
         phase1_obj = float(c_phase1[sx.basis] @ np.maximum(xB, 0.0))
         if phase1_obj > feas_tol:
             return LPResult("infeasible", None, None, None, sx.iterations)
+        # a leftover artificial stays basic, pinned at zero
         art_set = set(artificial_cols)
-        drop_rows = []
-        for r in range(m2):
-            if sx.basis[r] in art_set:
-                w = np.zeros(m2); w[r] = 1.0
-                row = sx._solve_basis(w, transpose=True) @ sx.A[:, :nreal]
-                pick = -1
-                for j in range(nreal):
-                    if j not in sx.basis and abs(row[j]) > 1e-10:
-                        pick = j
-                        break
-                if pick >= 0:
-                    sx.basis[r] = pick
-                else:
-                    drop_rows.append(r)
-        if drop_rows:
-            row_keep = [r for r in range(m2) if r not in set(drop_rows)]
-            sx.A = A3[row_keep, :]
-            sx.b = b2[row_keep]
-            sx.m = len(row_keep)
-            sx.basis = [sx.basis[r] for r in row_keep]
+        pinned = [r for r in range(m2) if sx.basis[r] in art_set]
 
     c_phase2 = np.concatenate([c3, np.zeros(ntot - nreal)])
     allowed2 = np.zeros(ntot, dtype=bool)
     allowed2[:nreal] = True
-    status, xB = sx.run(c_phase2, allowed2)
+    status, xB = sx.run(c_phase2, allowed2, pinned)
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, sx.iterations)
 
@@ -947,18 +929,18 @@ def solve_lp_loops(problem, tol=1e-9):
             x[j] = kind[2] + xfull[kind[1]]
     objective = float(c0 @ x) + 0.0
 
-    yb = sx._solve_basis(c_phase2[sx.basis], transpose=True)
+    yb = sx._solve_basis(c_phase2[sx.basis])
     y = np.zeros(m)
-    for pos, r in enumerate(row_keep):
-        if r < m:
-            y[r] = yb[pos] * row_sign[r]
+    for r in range(m):
+        y[r] = yb[r] * row_sign[r]
 
-    Ax = sx.A @ xfull[: sx.A.shape[1]]
-    p_res = float(np.max(np.abs(Ax - sx.b))) if sx.A.shape[0] else 0.0
-    rc = c_phase2 - yb @ sx.A
+    # the primal residual reads the real columns only
+    Ax = A3[:, :nreal] @ xfull[:nreal]
+    p_res = float(np.max(np.abs(Ax - b2))) if m2 else 0.0
+    rc = c_phase2 - yb @ A3
     d_res = float(max(0.0, -np.min(rc[:nreal]))) if nreal else 0.0
     cert_tol = tol * max(1.0, scale_b, float(np.max(np.abs(c_phase2))) if ntot else 1.0)
-    gap = abs(float(c_phase2[sx.basis] @ xB) - float(yb @ sx.b))
+    gap = abs(float(c_phase2[sx.basis] @ xB) - float(yb @ b2))
     if p_res > 100 * cert_tol or d_res > 100 * cert_tol or gap > 100 * cert_tol * (1.0 + abs(objective)):
         raise SolverError(
             f"optimal basis failed certification: primal {p_res:.2e}, dual {d_res:.2e}, gap {gap:.2e}"
@@ -1076,6 +1058,98 @@ def test_lp_matches_the_loop_reference_on_random_programs():
     assert counts["optimal"] >= 200 and counts["infeasible"] >= 100 and counts["unbounded"] >= 100
 
 
+def highs_linprog(lp, c=None):
+    """Independent oracle: scipy's HiGHS on a LinearProgram, minimizing c,
+    by default the program's objective in the minimize sense."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    le = np.array([s == "<=" for s in lp.senses], dtype=bool)
+    eq = np.array([s == "==" for s in lp.senses], dtype=bool)
+    ge = ~(le | eq)
+    if c is None:
+        c = -lp.c if lp.maximize else lp.c
+    bounds = [(None if lo == -np.inf else lo, None if hi == np.inf else hi) for lo, hi in zip(lp.lb, lp.ub)]
+    return linprog(c, A_ub=np.vstack([lp.A[le], -lp.A[ge]]), b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
+                   A_eq=lp.A[eq], b_eq=lp.b[eq], bounds=bounds, method="highs")
+
+
+def test_lp_matches_highs_on_random_programs():
+    """The status agrees with HiGHS's, and an optimum is within the certification bound of HiGHS's.
+
+    HiGHS's presolve calls some feasible unbounded programs infeasible
+    (program 310 with scipy 1.17); there HiGHS's own zero-objective LP
+    must find the program feasible.
+    """
+    verdicts = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    statuses = set()
+    for lp in random_lps():
+        got, want = solve_lp(lp), highs_linprog(lp)
+        statuses.add(got.status)
+        if got.status != verdicts.get(want.status):
+            assert (got.status, verdicts.get(want.status)) == ("unbounded", "infeasible"), want.message
+            assert highs_linprog(lp, np.zeros(lp.c.size)).status == 0
+        elif got.status == "optimal":
+            bound = 100 * 1e-9 * certification_scale(lp) * (1.0 + abs(got.objective))
+            assert abs(got.objective - (-want.fun if lp.maximize else want.fun)) <= bound
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def pinned_rows(monkeypatch):
+    """The rows each phase 2 of solve_lp starts with pinned, one list per solve."""
+    seen, real_run = [], optim._Simplex.run
+
+    def run(self, c, allowed, pinned=()):
+        if np.all(c[~allowed] == 0.0):
+            seen.append(list(pinned))
+        return real_run(self, c, allowed, pinned)
+
+    monkeypatch.setattr(optim._Simplex, "run", run)
+    return seen
+
+
+def test_lp_keeps_a_duplicated_row_with_its_artificial_basic(monkeypatch):
+    # phase 1 brings a real column into the first row, and the second row's
+    # artificial stays basic at zero: its row of B^-1 A vanishes on every
+    # real column
+    single = LinearProgram(np.array([1.0, 2.0, 3.0]), np.array([[1.0, 1.0, 2.0]]), ("==",), np.array([1.0]))
+    double = LinearProgram(single.c, np.vstack([single.A, single.A]), ("==", "=="), np.array([1.0, 1.0]))
+    pinned = pinned_rows(monkeypatch)
+    want, got = solve_lp(single), solve_lp(double)
+    assert pinned == [[], [1]]
+    assert got.status == want.status == "optimal"
+    assert np.array_equal(got.x, want.x) and got.objective == want.objective == 1.0
+    assert got.y[1] == 0.0 and got.y.sum() == want.y[0]
+
+
+def implicit_equality_lp():
+    """min -x0 over x0 + x2 == 1, -x0 - x1 == 0, x >= 0: the second row forces x0 = x1 = 0.
+
+    Phase 1 brings x2 into the first row and stops with the second row's
+    artificial basic at zero, since its tableau row is -1 on x0 and x1.
+    In phase 2, x0 enters with entry -1 in that row: the ratio test alone
+    would raise x0 to 1 and the artificial with it, to an objective of -1.
+    """
+    return LinearProgram(np.array([-1.0, 0.0, 0.0]), np.array([[1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]]),
+                         ("==", "=="), np.array([1.0, 0.0]))
+
+
+def test_a_pinned_artificial_leaves_at_step_zero_on_a_negative_entry(monkeypatch):
+    pinned = pinned_rows(monkeypatch)
+    res = solve_lp(implicit_equality_lp())
+    assert pinned == [[1]]
+    assert res.status == "optimal" and res.objective == 0.0
+    assert np.array_equal(res.x, [0.0, 0.0, 1.0])
+
+
+def test_an_artificial_left_nonzero_fails_certification(monkeypatch):
+    # unpinned, phase 2 ends at x0 = 1 with the artificial basic at 1: the
+    # basis equations hold over all columns, so only a residual over the
+    # real columns shows that x violates the second row
+    real_run = optim._Simplex.run
+    monkeypatch.setattr(optim._Simplex, "run", lambda self, c, allowed, pinned=(): real_run(self, c, allowed))
+    with pytest.raises(SolverError, match="failed certification: primal 1.00e"):
+        solve_lp(implicit_equality_lp())
+
+
 def test_lp_raises_rather_than_call_a_feasible_program_infeasible():
     # the joint synthesis LP of the (12, 5) sweep's seed-0 repaired space in
     # signed mode is feasible, as every synthesis LP is, but phase 1 meets an
@@ -1138,9 +1212,9 @@ def test_the_basis_inverse_is_formed_at_run_start_every_refactor_pivots_and_befo
         runs[-1]["inverses"].append(runs[-1]["simplex"].iterations)
         return real_inv(B)
 
-    def run(self, c, allowed):
+    def run(self, c, allowed, *pinned):
         runs.append({"simplex": self, "start": self.iterations, "inverses": []})
-        status, xB = real_run(self, c, allowed)
+        status, xB = real_run(self, c, allowed, *pinned)
         runs[-1]["verdict"] = self.iterations
         return status, xB
 

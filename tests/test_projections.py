@@ -45,7 +45,7 @@ from krext import (
 from krext import optim, projections
 from krext.optim import LinearProgram, solve_lp
 from test_metric import three_point
-from test_optim import captured_lps
+from test_optim import captured_lps, highs_linprog
 
 
 def line_space(*coords: float) -> FiniteMetricSpace:
@@ -686,6 +686,8 @@ def test_synthesize_signed_never_beats_strong_by_much(seed):
     strong = synthesize_min_k(space, subset, mode="strong")
     signed = synthesize_min_k(space, subset, mode="signed")
     assert signed.k_star <= strong.k_star + 1e-9
+    # nor by anything: every sample so far has signed K* = strong K*
+    assert signed.k_star >= strong.k_star * (1 - 1e-7)
     if subset.size >= 2:
         assert signed.k_star >= 1.0 - 1e-9
 
@@ -703,16 +705,10 @@ def test_synthesized_k_is_the_constant_of_its_projection(mode):
 
 
 def highs_lp_value(lp):
-    """Independent oracle: the minimum of a LinearProgram without upper
-    bounds, such as the synthesis LP, by scipy's HiGHS."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    assert not lp.maximize and np.all(lp.ub == np.inf)
-    le = np.array([s == "<=" for s in lp.senses])
-    eq = np.array([s == "==" for s in lp.senses])
-    ge = ~(le | eq)
-    bounds = [(None if lo == -np.inf else lo, None) for lo in lp.lb]
-    res = linprog(lp.c, A_ub=np.vstack([lp.A[le], -lp.A[ge]]), b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
-                  A_eq=lp.A[eq], b_eq=lp.b[eq], bounds=bounds, method="highs")
+    """Independent oracle: the minimum of a LinearProgram that minimizes,
+    such as the synthesis LP, by scipy's HiGHS."""
+    assert not lp.maximize
+    res = highs_linprog(lp)
     assert res.status == 0, res.message
     return float(res.fun)
 
@@ -751,6 +747,15 @@ def sweep_12_5():
 def test_synthesis_solves_every_case_of_the_12_5_sweep(sweep_12_5):
     for _, _, _, res in sweep_12_5:
         assert projection_constant(res.projection) == res.k_star >= 1.0
+
+
+def test_signed_and_strong_k_agree_on_the_12_5_sweep(sweep_12_5):
+    # the fixture runs each space and subset in strong mode, then in signed mode
+    pairs = list(zip(sweep_12_5[::2], sweep_12_5[1::2]))
+    assert len(pairs) == 16
+    for (_, _, strong_mode, strong), (_, _, signed_mode, signed) in pairs:
+        assert (strong_mode, signed_mode) == ("strong", "signed")
+        assert signed.k_star == pytest.approx(strong.k_star, rel=1e-7)
 
 
 def test_synthesis_matches_highs_on_the_12_5_sweep(sweep_12_5):
