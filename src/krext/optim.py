@@ -7,74 +7,100 @@ nonnegative costs of one uncapacitated arc from every source to every
 sink.  By the triangle inequality, every transport problem on a metric
 space is one of these, from a measure's positive to its negative part.
 
-It runs primal-dual phases on an exactly quantized copy of the
-instance.  The grid is relative to the problem scale: costs are
-divided by a power of two near the largest cost and supplies by a power
-of two near the largest |supply|, then both are scaled by 2**60 and
-rounded.  Scaling a float by a power of two is exact, so the only
-perturbation is the final rounding, about 2**-61 of the largest cost or
-supply whatever their units, and results are multiplied back exactly.
-The supplies are rounded as running sums, so that they still balance;
-every node but the last keeps its side of zero, and solve_flow refuses
-a last node that the rounding moves across it.
+It solves an exactly quantized copy of the instance.  The grid is
+relative to the problem scale: costs are divided by a power of two near
+the largest cost and supplies by a power of two near the largest
+|supply|, then both are scaled by 2**60 and rounded.  Scaling a float by
+a power of two is exact, so the only perturbation is the final
+rounding, about 2**-61 of the largest cost or supply whatever their
+units, and results are multiplied back exactly.  The supplies are
+rounded as running sums, so that they still balance; every node but the
+last keeps its side of zero, and solve_flow refuses a last node that
+the rounding moves across it.  All arithmetic is on integers, so the
+optimum of the quantized instance is exact, and an end certificate
+rechecks every reduced cost and the duality gap, identically zero, in
+one int64 pass.
 
-Each phase runs one multi-source Dijkstra on reduced costs from every
-node with excess until every deficit node is settled, raises the node
-potentials so that every shortest-path tree arc has reduced cost zero,
-and then augments along the tree to each settled deficit in settle
-order.  Arcs are uncapacitated, so the residual graph holds each arc
-forward, always open, and backward only while the arc carries flow.
-All arithmetic is on integers, so the optimum of the quantized
-instance is exact and the duality gap identically zero.
+Below DENSE_ARCS_PER_NODE arcs per node it runs a network simplex.  The
+basis is a spanning tree of the sources and of the sinks whose demand
+is nonzero on the grid, rooted at the last of those sinks.  The start
+is least-cost: arcs are taken in cost order, and each arc whose source
+and sink are both open ships all it can and closes one of them.  Every
+node but the root gets an extra eps of supply, which the root absorbs,
+so no two remainders tie before the last allocation: each allocation
+closes one line, and the start is a spanning tree whose arcs all carry
+a positive perturbed amount.  The tree is thus strongly feasible: an
+arc that points down, away from the root, carries flow.  Each pivot
+prices every arc at once on the |S| x |T| matrix of reduced costs and
+enters the most negative (Dantzig).  It walks the arc's two ends up to
+their apex and drops the last blocking arc met when walking the cycle
+from the apex along the entering arc (Cunningham's rule), which keeps
+the tree strongly feasible.  The one subtree cut off is re-hung from
+the entering arc, with the path from that arc's end to the dropped arc
+reversed, and its potentials move by the entering reduced cost.  In a
+strongly feasible tree a pivot that ships nothing drops an arc on the
+source's side, so it raises the potentials of the source's subtree:
+their sum rises, no basis repeats, and the simplex terminates; an
+iteration cap that raises SolverError is only a safety net.  phases
+counts the pivots and augmentations the pivots that shipped flow.
 
-What a phase costs: one heap pop per entry, one step per arc that a
-settled node scans (its forward list, then its backward arcs only when
-it has flow in) and one heap entry per label that drops.  The active
-sources and the deficit count carry over from phase to phase, so a
-phase makes no pass over all nodes beyond building the label and
-tree-arc vectors and raising the potentials; on dense problems the
-pre-pass below adds its array work and one interpreted step per node,
-per flow arc and per arc it keeps, and its loop pushes each node once.
+The simplex keeps its potentials as exact ints.  A tree path
+alternates sources and sinks, so it has at most 2 * min(|S|, |T|) arcs,
+and each changes the potential by at most the largest grid cost C, so
+during the pivots the potentials may span min(|S|, |T|) * C, past
+int64.  Pricing runs in int64 while the span is below 2**62, where no
+reduced cost can wrap, and on exact ints past it.  The optimal
+potentials are shifted so that the least is 0.  Some source is then at
+0 (a sink at 0 has a source at 0 as tree neighbour), so every sink
+lies at most C above it, every source lies below a sink, its tree
+neighbour, and all lie in [0, C].  A sink of zero demand stays out of
+the tree and takes the least over the sources of potential plus arc
+cost, also in [0, C], and a node without arcs sits at 0.
 
-On dense problems, with at least DENSE_ARCS_PER_NODE arcs per node, a
-phase first computes every node's exact label with array code and hands
-the heap loop only the forward arcs that lie on a shortest path.  An
-arc carrying flow has reduced cost zero both ways, so each component of
-the flow support shares one label; the pre-pass contracts them and runs
-Bellman-Ford rounds between components, about three at n = 100.  Every
-arc left to scan is then tight, label[u] + rc(u, w) == label[w], and a
-backward arc joins two nodes of one component, so the first arc to
-reach a node offers exactly its label and no later offer is lower.  The
-heap loop is a first-offer loop: it pushes each node once, at its
+At or above the gate it runs primal-dual phases.  Each phase runs one
+multi-source Dijkstra on reduced costs from every node with excess
+until every deficit node is settled, raises the node potentials so that
+every shortest-path tree arc has reduced cost zero, and then augments
+along the tree to each settled deficit in settle order.  Arcs are
+uncapacitated, so the residual graph holds each arc forward, always
+open, and backward only while the arc carries flow.  phases counts the
+Dijkstra runs and augmentations the augmenting paths, at least one per
+phase.
+
+A phase first computes every node's exact label with array code and
+hands the heap loop only the forward arcs that lie on a shortest path.
+An arc carrying flow has reduced cost zero both ways, so each component
+of the flow support shares one label; the pre-pass contracts them and
+runs Bellman-Ford rounds between components, about three at n = 100.
+Every arc left to scan is then tight, label[u] + rc(u, w) == label[w],
+and a backward arc joins two nodes of one component, so the first arc
+to reach a node offers exactly its label and no later offer is lower.
+The heap loop is a first-offer loop: it pushes each node once, at its
 label, by the first listed arc that reaches it, which becomes its tree
 arc; it keeps no tentative distances, meets no stale entry and does no
 arithmetic per arc, and its heap holds each node's rank in (label,
-node) order, which orders like the pair.  A full scan settles the same
-nodes in the same order: the heap holds distinct (label, node) pairs,
-so it pops them in one order whatever order they were pushed in, and
-the extra entries of a full scan are tentative labels above the true
-ones, which it skips when they surface.  Its tree arc into a node is
-the first tight arc scanned into it, since an arc that is not tight
+node) order, which orders like the pair.  A full-scan Dijkstra settles
+the same nodes in the same order: the heap holds distinct (label, node)
+pairs, so it pops them in one order whatever order they were pushed in,
+and the extra entries of a full scan are tentative labels above the
+true ones, which it skips when they surface.  Its tree arc into a node
+is the first tight arc scanned into it, since an arc that is not tight
 offers more than the label and a later tight arc replaces it; that is
 the first-offer loop's tree arc, so the potentials rise by the same
-amounts and results are bit for bit those of a full scan.  The gate is
-an input property: the pre-pass costs some 45 numpy calls per phase,
-which a sparse problem's heap loop never wins back.
+amounts and results are bit for bit those of a full scan.
 
-No potential passes the largest grid cost C, below 2**60, so the
-pre-pass works in int64 with labels that start at C, and the end
-certificate checks every reduced cost in one int64 pass.  An active
-source settles at label 0 in every phase, so it keeps potential 0.
-Every sink has a direct arc from it, whose reduced cost stays
-nonnegative, so no sink rises above that arc's cost, no sink's label
-exceeds C less its potential, and every phase reaches every deficit.  A
-source that has shipped its supply still ships it along arcs of reduced
-cost zero, so it sits below a sink it feeds, by that arc's cost, and
-shares that sink's label.  A node that is no sink and has no supply on
-the grid is idle: it ships nothing and nothing reaches it, so it sits
-at C from the start, above every sink, and every phase settles it at
-label 0.  The pre-pass checks the bound at every phase and raises
-SolverError should it fail.
+No phase potential passes C, so the pre-pass works in int64 with labels
+that start at C.  An active source settles at label 0 in every phase,
+so it keeps potential 0.  Every sink has a direct arc from it, whose
+reduced cost stays nonnegative, so no sink rises above that arc's cost,
+no sink's label exceeds C less its potential, and every phase reaches
+every deficit.  A source that has shipped its supply still ships it
+along arcs of reduced cost zero, so it sits below a sink it feeds, by
+that arc's cost, and shares that sink's label.  A node that is no sink
+and has no supply on the grid is idle: it ships nothing and nothing
+reaches it, so it sits at C from the start, above every sink, and every
+phase settles it at label 0.  The pre-pass checks the bound at every
+phase and raises SolverError should it fail.
 
 The LP solver is a two-phase revised simplex over dense numpy arrays.
 Pricing is Dantzig by default and falls back to Bland's rule after a
@@ -112,14 +138,13 @@ from .errors import ContractError, SolverError, check_tol
 
 GRID_BITS = 60
 
-# solve_flow runs the label pre-pass (_LabelPrepass) only on problems with at
-# least this many arcs per node.  Its ~45 numpy calls per phase pay off only once
-# the heap loop would relax many arcs per settled node.  Measured per solve on the
-# transport benchmark's flow problems (2-vCPU VM, Python 3.11, numpy 2.4, CPU
-# time, medians of 9 passes, three runs), without and with the pre-pass: 13 nodes
-# and 47 arcs, 0.32 and 0.54 ms; n=40 at full support (10 arcs per node), 2.7-2.8
-# and 2.5-2.7 ms, about even; n=70 (17 per node), 9.2-10.7 and 6.2-6.8 ms; n=100
-# (25 per node), 22-27 and 10-14 ms.
+# solve_flow runs the network simplex on problems with fewer than this many arcs
+# per node, and the primal-dual phases with the label pre-pass (_LabelPrepass) on
+# the rest.  The value was set where the pre-pass began to beat full-scan phases,
+# which are gone.  The simplex is faster on both sides of it, but above it, on the
+# benchmark's dense transport problems, its throughput lifts peak RSS past that
+# metric's bound, because the benchmark keeps a record per operation; the gate
+# stays until the benchmark changes (ROADMAP items 7 and 8).
 DENSE_ARCS_PER_NODE = 16
 
 # a simplex reduced cost or pivot entry at most this large counts as zero
@@ -200,8 +225,10 @@ class FlowResult:
     cost: float
     # exact integer arc flows; flow is flow_int times the supply grid step
     flow_int: tuple[int, ...]
-    phases: int               # multi-source Dijkstra runs
-    augmentations: int        # augmenting paths, at least one per phase
+    # dense problems: Dijkstra runs and augmenting paths, at least one per
+    # phase; below the density gate: simplex pivots and those that shipped flow
+    phases: int
+    augmentations: int
 
 
 def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
@@ -242,17 +269,236 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     b = _quantize_balanced(supplies, supply_shift)
     # rint rounds half to even, as round does; int64 holds values below 2**GRID_BITS
     cost_grid = np.rint(np.ldexp(costs, cost_shift)).astype(np.int64)
-    top_cost = int(cost_grid.max(initial=0))
     cost = cost_grid.ravel().tolist()
+    if n > 0 and costs.size >= DENSE_ARCS_PER_NODE * n:
+        flow, pi, phases, augmentations = _shortest_path_phases(b, supplies, cost_grid, cost, sources, sinks)
+    else:
+        flow, pi, phases, augmentations = _network_simplex(b, cost_grid, sources, sinks)
+
+    # exact certificates on the quantized instance; failure means a bug: no
+    # reduced cost is negative and every flow arc has reduced cost zero.  Only
+    # flow arcs enter the slackness test and the cost.  The potentials lie in
+    # [0, top_cost] and the costs below 2**60, so one int64 pass cannot overflow
+    support = list(compress(range(len(flow)), flow))   # the arcs carrying flow
+    pi = np.asarray(pi, dtype=np.int64)
+    reduced = (cost_grid + pi[sources][:, None] - pi[sinks]).ravel()
+    if reduced.min(initial=0) < 0 or reduced[support].any():
+        raise SolverError("optimality certificate failed on the quantized instance")
+    pi = pi.tolist()
+    cost_int = sum(flow[k] * cost[k] for k in support)
+    if -sum(map(operator.mul, b, pi)) != cost_int:
+        raise SolverError("flow duality gap is nonzero on the quantized instance")
+
+    flow_out = np.zeros(len(flow))
+    flow_out[support] = np.ldexp(np.array([flow[k] for k in support], dtype=float), -supply_shift)
+    # no potential passes the largest cost, a float, so only the optimum can overflow
+    potentials = np.array([math.ldexp(-p, -cost_shift) for p in pi])
+    try:
+        optimum = math.ldexp(cost_int, -supply_shift - cost_shift)
+    except OverflowError:
+        raise ContractError("flow cost overflows: the optimum is not a finite float") from None
+    return FlowResult(
+        flow=flow_out,
+        potentials=potentials,
+        cost=optimum,
+        flow_int=tuple(flow),
+        phases=phases,
+        augmentations=augmentations,
+    )
+
+
+def _network_simplex(b: list[int], cost_grid: np.ndarray, sources: np.ndarray,
+                     sinks: np.ndarray) -> tuple[list[int], list[int], int, int]:
+    """Network simplex on the quantized instance, below the density gate.
+
+    Returns the arc flows, the node potentials, least 0, the pivots and
+    the pivots that shipped flow; the module docstring describes the
+    method and why it terminates.
+    """
+    n_sources, n_sinks = cost_grid.shape
+    flow = [0] * cost_grid.size
+    pi = [0] * len(b)
+    sources, sinks = sources.tolist(), sinks.tolist()
+    # a sink whose demand rounds to zero takes no flow; it stays out of the
+    # tree and takes the c-transform of the source potentials at the end
+    cols = [j for j, v in enumerate(sinks) if b[v]]
+    pivots = shipped = 0
+    if cols:
+        tree = _BasisTree(cost_grid if len(cols) == n_sinks else cost_grid[:, cols],
+                          [b[u] for u in sources], [-b[sinks[j]] for j in cols])
+        # a safety net: strongly feasible trees do not cycle
+        max_pivots = tree.nodes * (tree.nodes + cost_grid.size)
+        while (entering := tree.price())[2] < 0:
+            pivots += 1
+            if pivots > max_pivots:
+                raise SolverError("network simplex did not terminate")
+            shipped += tree.pivot(*entering) > 0
+        m, parent, pot = n_sources, tree.parent, tree.pot
+        for x, f in enumerate(tree.up_flow[:tree.root]):
+            i, j = (x, parent[x] - m) if x < m else (parent[x], x - m)
+            flow[i * n_sinks + cols[j]] = f
+        lo = min(pot)
+        for x, node in enumerate(sources + [sinks[j] for j in cols]):
+            pi[node] = pot[x] - lo
+    if len(cols) < n_sinks:
+        idle = [j for j, v in enumerate(sinks) if not b[v]]
+        low = (cost_grid[:, idle] + np.array([pi[u] for u in sources])[:, None]).min(axis=0)
+        for j, p in zip(idle, low.tolist()):
+            pi[sinks[j]] = p
+    return flow, pi, pivots, shipped
+
+
+class _BasisTree:
+    """A strongly feasible spanning tree basis of a transportation problem.
+
+    Nodes 0..m-1 are the sources and m..m+k-1 the sinks, each of positive
+    demand; the last sink is the root.  up_flow[x] is the flow on the arc
+    between x and parent[x], which points up, towards the root, iff x is
+    a source; pot holds exact int potentials, cost + pot[source] -
+    pot[sink] == 0 on every tree arc.  Strongly feasible: an arc that
+    points down carries flow, so every node can send some to the root.
+    """
+
+    def __init__(self, cost: np.ndarray, supply: list[int], demand: list[int]):
+        m, k = cost.shape
+        self.cost, self.m, self.k = cost, m, k
+        self.nodes = nodes = m + k
+        self.root = root = nodes - 1
+        c = cost.tolist()
+        # every node but the root ships an extra eps to it, so each remainder
+        # below is amount * scale + its eps coefficient, compared and
+        # subtracted as one int; no two tie before the last allocation
+        scale = 4 * nodes
+        rem = [x * scale + 1 for x in supply] + [d * scale - 1 for d in demand]
+        rem[root] += nodes
+        is_open = [True] * nodes
+        tree: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+        placed = 0
+        # least-cost start: each allocation closes one line, so the
+        # allocations form a spanning tree, each arc with a positive
+        # perturbed amount, which makes the tree strongly feasible
+        rows, cols = np.divmod(np.argsort(cost, axis=None, kind="stable"), k)
+        for i, t in zip(rows.tolist(), (cols + m).tolist()):
+            if is_open[i] and is_open[t]:
+                x, y = rem[i], rem[t]
+                if x < y:
+                    amount, is_open[i], rem[t] = x, False, y - x
+                else:
+                    amount, is_open[t], rem[i] = y, False, x - y
+                amount = (amount + scale // 2) // scale
+                tree[i].append((t, amount))
+                tree[t].append((i, amount))
+                placed += 1
+                if placed == nodes - 1:
+                    break
+
+        self.parent = parent = [-1] * nodes
+        self.depth = depth = [0] * nodes
+        self.up_flow = up_flow = [0] * nodes
+        self.pot = pot = [0] * nodes
+        self.children = children = [[] for _ in range(nodes)]
+        order = [root]
+        for x in order:
+            for y, amount in tree[x]:
+                if y != parent[x]:
+                    parent[y], depth[y], up_flow[y] = x, depth[x] + 1, amount
+                    children[x].append(y)
+                    pot[y] = pot[x] - c[y][x - m] if y < m else pot[x] + c[x][y - m]
+                    order.append(y)
+
+    def price(self) -> tuple[int, int, int]:
+        """The source, sink and reduced cost of the most negative arc (Dantzig).
+
+        The reduced costs are priced in int64 while the potentials span
+        less than 2**62, where none can wrap, and in exact ints past that.
+        """
+        pot, m = self.pot, self.m
+        p = np.array(pot, dtype=np.int64 if max(pot) - min(pot) < 1 << 62 else object)
+        rc = self.cost + p[:m, None] - p[m:]
+        i, j = divmod(int(rc.argmin()), self.k)
+        return i, j, int(rc[i, j])
+
+    def pivot(self, i: int, j: int, gain: int) -> int:
+        """Enter arc (source i, sink j) of reduced cost gain; returns the flow shipped."""
+        m, parent, depth, up_flow, children = self.m, self.parent, self.depth, self.up_flow, self.children
+        u = x = i
+        v = y = m + j
+        # the cycle: u and v up to their apex; the entering arc u->v sets its
+        # orientation, so an arc that points up loses flow on u's side and
+        # gains on v's side, one that points down the reverse
+        u_side: list[int] = []
+        v_side: list[int] = []
+        while depth[x] > depth[y]:
+            u_side.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            v_side.append(y)
+            y = parent[y]
+        while x != y:
+            u_side.append(x)
+            x = parent[x]
+            v_side.append(y)
+            y = parent[y]
+        # the arcs that lose flow are a source's on u's side and a sink's on
+        # v's side.  Cunningham's rule drops the last blocking arc, one of
+        # least flow, met when walking the cycle from the apex along its
+        # orientation: down u's side to u, across to v, then up v's side.
+        # That is the one on v's side nearest the apex if v's side has one,
+        # else the one on u's side nearest u; the new tree is strongly
+        # feasible again
+        theta, leave = None, -1
+        for k, x in enumerate(u_side):
+            if x < m and (theta is None or up_flow[x] < theta):
+                theta, leave = up_flow[x], k
+        for k, y in enumerate(v_side):
+            if y >= m and (theta is None or up_flow[y] <= theta):
+                theta, leave = up_flow[y], ~k
+        if leave >= 0:
+            path, top, shift = u_side[:leave + 1], v, -gain
+        else:
+            path, top, shift = v_side[:~leave + 1], u, gain
+        leave = path[-1]
+        if theta:
+            for x in u_side:
+                up_flow[x] += -theta if x < m else theta
+            for y in v_side:
+                up_flow[y] += theta if y < m else -theta
+        # re-hang the leaving arc's subtree from the entering arc, reversing
+        # the path from u or v up to the leaving arc
+        children[parent[leave]].remove(leave)
+        prev, amount = top, theta
+        for x in path:
+            if prev != top:
+                children[x].remove(prev)
+            children[prev].append(x)
+            parent[x], up_flow[x], prev, amount = prev, amount, x, up_flow[x]
+        # the subtree moves by the entering arc's reduced cost, which makes
+        # that arc tight
+        pot, stack = self.pot, [path[0]]
+        while stack:
+            x = stack.pop()
+            depth[x] = depth[parent[x]] + 1
+            pot[x] += shift
+            stack.extend(children[x])
+        return theta
+
+
+def _shortest_path_phases(b: list[int], supplies: np.ndarray, cost_grid: np.ndarray, cost: list[int],
+                          sources: np.ndarray, sinks: np.ndarray) -> tuple[list[int], list[int], int, int]:
+    """Primal-dual phases with the label pre-pass, at or above the density gate.
+
+    Returns the arc flows, the node potentials, the phases and the
+    augmentations; the module docstring describes the method.
+    """
+    n = len(b)
+    top_cost = int(cost_grid.max(initial=0))
     # arc k runs from sources[k // |sinks|] to sinks[k % |sinks|]
     tails = [u for u in sources.tolist() for _ in range(sinks.size)]
     heads = sinks.tolist() * sources.size
 
-    # residual arcs (node, cost, k or ~k) out of each node: uncapacitated arc
-    # k is always open forward, and backward (~k) only while it carries flow;
-    # dense phases scan the pre-pass's lists instead of the forward lists
+    # backward residual arcs (node, cost, ~k) into each node: uncapacitated
+    # arc k is always open forward, and backward only while it carries flow
     backward: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
-    dense = n > 0 and len(cost) >= DENSE_ARCS_PER_NODE * n
     flow = [0] * len(cost)
 
     excess = list(b)
@@ -263,18 +509,10 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
     # nothing and nothing reaches it.  It sits at the largest grid cost, where
     # no sink rises above it, and every phase settles it at label 0
     idle = [x for x, (bx, sx) in enumerate(zip(b, supplies.tolist())) if not bx and sx >= 0.0]
-    # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0; pi stays in [0, top_cost],
-    # an int64 array in dense phases and a list of ints in the others
-    pi: np.ndarray | list[int] = [0] * n
-    for x in idle:
-        pi[x] = top_cost
-    if dense:
-        prepass = _LabelPrepass(cost_grid, sources, sinks, top_cost)
-        pi = np.array(pi, dtype=np.int64)
-    else:
-        forward: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for u, entry in zip(tails, zip(heads, cost, range(len(cost)))):
-            forward[u].append(entry)
+    # reduced cost of arc u->w: cost + pi[u] - pi[w] >= 0; pi stays in [0, top_cost]
+    pi = np.zeros(n, dtype=np.int64)
+    pi[idle] = top_cost
+    prepass = _LabelPrepass(cost_grid, sources, sinks, top_cost)
     phases = augmentations = 0
     # every phase of a sound run augments at least once, so a bound on the
     # augmentations bounds the phases too; it also ends a run whose phase
@@ -289,76 +527,40 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
         via: list[int | None] = [None] * n   # tree arc into each node
         active = [s for s in active if excess[s] > 0]
         reached: list[int] = []   # deficit nodes in settle order
-        if dense:
-            # every listed arc is tight, so the first arc to reach a node
-            # offers its exact label: the node is pushed once, at that label,
-            # with that arc as its tree arc, and no entry goes stale
-            scan, label = prepass.tight_arcs(pi, active + idle, backward)
-            offered = [False] * n
-            for s in active:
-                offered[s] = True
-            # the heap holds each node's rank in (label, node) order: small
-            # ints compare faster than the pairs and pop in the same order;
-            # the sources have label 0, so their ranks ascend, a heap
-            by_rank = np.argsort(label, kind="stable")
-            rank = np.empty(n, dtype=np.int64)
-            rank[by_rank] = np.arange(n)
-            by_rank, rank = by_rank.tolist(), rank.tolist()
-            pq = [rank[s] for s in active]
-            while pq:
-                v = by_rank[heappop(pq)]
-                if excess[v] < 0:
-                    reached.append(v)
-                    if len(reached) == deficits:
-                        break
-                for w, e in scan[v]:
+        # every listed arc is tight, so the first arc to reach a node
+        # offers its exact label: the node is pushed once, at that label,
+        # with that arc as its tree arc, and no entry goes stale
+        scan, label = prepass.tight_arcs(pi, active + idle, backward)
+        offered = [False] * n
+        for s in active:
+            offered[s] = True
+        # the heap holds each node's rank in (label, node) order: small
+        # ints compare faster than the pairs and pop in the same order;
+        # the sources have label 0, so their ranks ascend, a heap
+        by_rank = np.argsort(label, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_rank] = np.arange(n)
+        by_rank, rank = by_rank.tolist(), rank.tolist()
+        pq = [rank[s] for s in active]
+        while pq:
+            v = by_rank[heappop(pq)]
+            if excess[v] < 0:
+                reached.append(v)
+                if len(reached) == deficits:
+                    break
+            for w, e in scan[v]:
+                if not offered[w]:
+                    offered[w] = True
+                    via[w] = e
+                    heappush(pq, rank[w])
+            if arcs_in := backward[v]:
+                for w, _, e in arcs_in.values():
                     if not offered[w]:
                         offered[w] = True
                         via[w] = e
                         heappush(pq, rank[w])
-                if arcs_in := backward[v]:
-                    for w, _, e in arcs_in.values():
-                        if not offered[w]:
-                            offered[w] = True
-                            via[w] = e
-                            heappush(pq, rank[w])
-            # every node below the last label is settled at its label
-            pi = pi + np.minimum(label, label[v])
-        else:
-            dist: list[float] = [math.inf] * n
-            for s in active + idle:
-                dist[s] = 0
-            pq = [(0, s) for s in active]   # sorted, so a heap
-            last = 0
-            while pq:
-                dv, v = heappop(pq)
-                # labels only ever drop, so a stale entry is one above the label;
-                # reduced costs are nonnegative, so a settled label never drops
-                if dv != dist[v]:
-                    continue
-                last = dv
-                if excess[v] < 0:
-                    reached.append(v)
-                    if len(reached) == deficits:
-                        break
-                base = dv + pi[v]
-                for w, c, e in forward[v]:
-                    nd = base + c - pi[w]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        via[w] = e
-                        heappush(pq, (nd, w))
-                # a source has forward arcs only, a sink backward arcs only
-                if arcs_in := backward[v]:
-                    for w, c, e in arcs_in.values():
-                        nd = base + c - pi[w]
-                        if nd < dist[w]:
-                            dist[w] = nd
-                            via[w] = e
-                            heappush(pq, (nd, w))
-            # settled nodes move by their distance, the rest by the last one,
-            # which zeroes the reduced cost of every tree arc
-            pi = [p + (dv if dv < last else last) for p, dv in zip(pi, dist)]
+        # every node below the last label is settled at its label
+        pi = pi + np.minimum(label, label[v])
 
         for t in reached:
             amount = -excess[t]
@@ -392,37 +594,7 @@ def solve_flow(problem: FlowProblem, tol: float = 1e-9) -> FlowResult:
                 deficits -= 1
             total_excess -= amount
             augmentations += 1
-
-    # exact certificates on the quantized instance; failure means a bug: no
-    # reduced cost is negative and every flow arc has reduced cost zero.  Only
-    # flow arcs enter the slackness test and the cost.  The potentials lie in
-    # [0, top_cost] and the costs below 2**60, so one int64 pass cannot overflow
-    support = list(compress(range(len(flow)), flow))   # the arcs carrying flow
-    pi = np.asarray(pi, dtype=np.int64)
-    reduced = (cost_grid + pi[sources][:, None] - pi[sinks]).ravel()
-    if reduced.min(initial=0) < 0 or reduced[support].any():
-        raise SolverError("optimality certificate failed on the quantized instance")
-    pi = pi.tolist()
-    cost_int = sum(flow[k] * cost[k] for k in support)
-    if -sum(map(operator.mul, b, pi)) != cost_int:
-        raise SolverError("flow duality gap is nonzero on the quantized instance")
-
-    flow_out = np.zeros(len(flow))
-    flow_out[support] = np.ldexp(np.array([flow[k] for k in support], dtype=float), -supply_shift)
-    # no potential passes the largest cost, a float, so only the optimum can overflow
-    potentials = np.array([math.ldexp(-p, -cost_shift) for p in pi])
-    try:
-        optimum = math.ldexp(cost_int, -supply_shift - cost_shift)
-    except OverflowError:
-        raise ContractError("flow cost overflows: the optimum is not a finite float") from None
-    return FlowResult(
-        flow=flow_out,
-        potentials=potentials,
-        cost=optimum,
-        flow_int=tuple(flow),
-        phases=phases,
-        augmentations=augmentations,
-    )
+    return flow, pi.tolist(), phases, augmentations
 
 
 class _LabelPrepass:

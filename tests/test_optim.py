@@ -5,6 +5,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,20 +65,17 @@ def priced_by(supplies, full):
     return FlowProblem(supplies, full[np.ix_(supplies > 0.0, supplies < 0.0)])
 
 
-def solve_flow_loops(problem, tol=1e-9):
-    """Reference solve_flow on paired residual edges, edge e ^ 1 reversing e.
+def grid_instance(problem):
+    """The quantized instance: arcs, integer supplies, integer arc costs and both shifts.
 
-    The same primal-dual phases and grid as solve_flow, with the cost
-    matrix expanded into arcs and every arc stored as a capacitated
-    forward edge and a backward edge that is scanned even while it
-    carries nothing.  A node that is no sink and has no supply on the
-    grid sits at the largest grid cost and at distance 0, as in
-    solve_flow.
+    As in solve_flow, costs and supplies are scaled by powers of two that
+    put the largest just below 2**60 and rounded, the supplies as running
+    sums, so that they balance.
     """
-    n = problem.n_nodes
-    triples = [(int(u), int(v), float(c)) for (u, v), c in zip(problem.arcs, problem.cost.ravel())]
+    arcs = [(int(u), int(v)) for u, v in problem.arcs]
+    costs = problem.cost.ravel().tolist()
     supply_shift = _grid_exponent(float(np.max(np.abs(problem.supplies), initial=0.0)))
-    cost_shift = _grid_exponent(max((c for _, _, c in triples), default=0.0))
+    cost_shift = _grid_exponent(max(costs, default=0.0))
     b, cum, prev = [], 0.0, 0
     for s in problem.supplies:   # running sums on the grid, so sum(b) == 0
         cum += float(s)
@@ -84,12 +84,48 @@ def solve_flow_loops(problem, tol=1e-9):
         prev = cur
     if b:
         b[-1] -= prev
+    return arcs, b, [int(round(math.ldexp(c, cost_shift))) for c in costs], supply_shift, cost_shift
+
+
+def certify_on_grid(problem, flow_int, pi):
+    """Exact optimality of integer flows and potentials on the quantized instance.
+
+    Primal feasibility (nonnegative flows that meet every supply), dual
+    feasibility (cost + pi[u] - pi[v] >= 0 on every arc), complementary
+    slackness (equality on every arc that carries flow) and a duality gap
+    of exactly zero, all in Python ints.
+    """
+    arcs, b, cost, _, _ = grid_instance(problem)
+    assert len(flow_int) == len(arcs) and min(flow_int, default=0) >= 0
+    net = [0] * problem.n_nodes
+    for (u, v), f in zip(arcs, flow_int):
+        net[u] += f
+        net[v] -= f
+    assert net == b
+    reduced = [c + pi[u] - pi[v] for (u, v), c in zip(arcs, cost)]
+    assert min(reduced, default=0) >= 0
+    assert not any(r for r, f in zip(reduced, flow_int) if f)
+    assert -sum(map(operator.mul, b, pi)) == sum(map(operator.mul, flow_int, cost))
+
+
+def solve_flow_loops(problem, tol=1e-9):
+    """Reference solve_flow on paired residual edges, edge e ^ 1 reversing e.
+
+    The primal-dual phases of solve_flow's dense path on the same grid,
+    with the cost matrix expanded into arcs and every arc stored as a
+    capacitated forward edge and a backward edge that is scanned even
+    while it carries nothing, and with no label pre-pass: each phase is a
+    full-scan Dijkstra.  A node that is no sink and has no supply on the
+    grid sits at the largest grid cost and at distance 0, as in
+    solve_flow's dense path.
+    """
+    n = problem.n_nodes
+    arcs, b, arc_cost, supply_shift, cost_shift = grid_instance(problem)
     total_excess = sum(x for x in b if x > 0)
     inf_cap = total_excess + 1
     head, cap, cost = [], [], []
     adj = [[] for _ in range(n)]
-    for u, v, c in triples:
-        cq = int(round(math.ldexp(c, cost_shift)))
+    for (u, v), cq in zip(arcs, arc_cost):
         adj[u].append(len(head)); head.append(v); cap.append(inf_cap); cost.append(cq)
         adj[v].append(len(head)); head.append(u); cap.append(0); cost.append(-cq)
     excess = list(b)
@@ -150,9 +186,9 @@ def solve_flow_loops(problem, tol=1e-9):
             excess[t] += amount
             total_excess -= amount
             augmentations += 1
-    flow_int = tuple(cap[2 * k + 1] for k in range(len(triples)))
+    flow_int = tuple(cap[2 * k + 1] for k in range(len(arcs)))
     cost_int = sum(f * cost[2 * k] for k, f in enumerate(flow_int))
-    for k, (u, v, _) in enumerate(triples):
+    for k, (u, v) in enumerate(arcs):
         reduced = cost[2 * k] + pi[u] - pi[v]
         if reduced < 0 or (flow_int[k] > 0 and reduced > 0):
             raise SolverError("reference certificate failed")
@@ -304,26 +340,33 @@ def test_flow_on_grid_distances_matches_spanning_tree_enumeration(seed):
     full = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2).astype(float)
     res = solve_flow(priced_by(supplies, full))
     assert res.cost == _tree_flow_cost(n, _transport_arcs(supplies, full), supplies)
-    assert res.phases <= res.augmentations
+    # below the density gate the network simplex runs: of its pivots, some ship flow
+    assert res.augmentations <= res.phases
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_flow_phases_never_exceed_augmentations(seed):
+    # phases count Dijkstra runs on the dense path only, where each one
+    # augments at least once: half sources and half sinks on 72..99 nodes
+    # put at least DENSE_ARCS_PER_NODE arcs on each node
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 12))
-    supplies = rng.uniform(-2, 2, size=n)
+    n = int(rng.integers(72, 100))
+    supplies = rng.uniform(0.01, 2, size=n) * rng.permutation(np.arange(n) % 2 * 2 - 1)
     supplies[-1] -= supplies.sum()
     full = rng.integers(0, 4, size=(n, n)).astype(float) if seed % 2 else rng.uniform(0.0, 3.0, (n, n))
-    res = solve_flow(priced_by(supplies, full))
+    problem = priced_by(supplies, full)
+    assert problem.cost.size >= optim.DENSE_ARCS_PER_NODE * n
+    res = solve_flow(problem)
     assert 1 <= res.phases <= res.augmentations
 
 
 def test_flow_phase_feeds_several_augmentations():
-    # full support on 40 points: one Dijkstra serves several deficit nodes
+    # full support on 100 points, a dense problem: one Dijkstra serves
+    # several deficit nodes
     rng = np.random.default_rng(40)
-    space = rand_space(rng, 40)
-    mu = SignedMeasure(space, {i: float(rng.uniform(-2.0, 2.0)) for i in range(40)})
+    space = rand_space(rng, 100)
+    mu = SignedMeasure(space, {i: float(rng.uniform(-2.0, 2.0)) for i in range(100)})
     seen = []
 
     def spy(problem, tol=1e-9):
@@ -334,6 +377,7 @@ def test_flow_phase_feeds_several_augmentations():
         mp.setattr(transport, "solve_flow", spy)
         kr_norm(mu)
     res = seen.pop()
+    assert res.flow.size >= optim.DENSE_ARCS_PER_NODE * res.potentials.size
     assert res.phases < res.augmentations
 
 
@@ -374,16 +418,33 @@ def assert_same_flow(problem, exact_path):
     """solve_flow against the paired-edge reference on one instance.
 
     The cost is the exact optimum of the quantized instance, so it must
-    match bit for bit.  With float costs, ties in the Dijkstra labels are
-    rare, so the whole run must match too; with integer costs, tied
-    labels may pick another shortest-path tree, hence another optimum.
+    match bit for bit.  On dense problems solve_flow runs the reference's
+    phases; with float costs, ties in the Dijkstra labels are rare, so
+    with exact_path the whole run must match too.  Below the density gate
+    it runs the network simplex, whose integer flows and potentials are
+    certified exactly on the grid; with exact_path the optimum is unique,
+    so its flows must match the reference's.  With integer costs, tied
+    labels or costs may give another optimum.
     """
-    new, ref = solve_flow(problem), solve_flow_loops(problem)
+    simplex = []
+    real = optim._network_simplex
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "_network_simplex", lambda *args: simplex.append(real(*args)) or simplex[-1])
+        new = solve_flow(problem)
+    ref = solve_flow_loops(problem)
     assert new.cost == ref.cost
     if exact_path:
         assert new.flow_int == ref.flow_int
         assert all(type(f) is int for f in new.flow_int)
         assert np.array_equal(new.flow, ref.flow)
+    if simplex:
+        flow, pi, pivots, shipped = simplex.pop()
+        certify_on_grid(problem, flow, pi)
+        cost_shift = grid_instance(problem)[4]
+        assert new.flow_int == tuple(flow)
+        assert np.array_equal(new.potentials, [math.ldexp(-p, -cost_shift) for p in pi])
+        assert (new.phases, new.augmentations) == (pivots, shipped) and shipped <= pivots
+    elif exact_path:
         assert np.array_equal(new.potentials, ref.potentials)
         assert (new.phases, new.augmentations) == (ref.phases, ref.augmentations)
     return new
@@ -495,20 +556,20 @@ def test_flow_labels_may_reach_the_largest_grid_cost(monkeypatch):
 
 
 def test_first_offer_phases_match_the_full_scan_where_labels_tie(monkeypatch):
-    # each problem solved with the label pre-pass in every phase and again
-    # with a gate above its arc count, so every phase scans every arc: with
-    # integer costs many labels tie, and a wrong tie-break in the pre-pass's
-    # first-offer loop would pick another tree arc, hence another run
+    # each problem solved with the label pre-pass in every phase and by the
+    # paired-edge reference, whose phases scan every arc of every settled
+    # node: with integer costs many labels tie, and a wrong tie-break in the
+    # pre-pass's first-offer loop would pick another tree arc, hence another
+    # run.  The reference lists a node's arcs in another order, which is
+    # immaterial: a node has one arc to each other node, so the arcs that tie
+    # for a tree arc leave distinct settled nodes, scanned in settle order
     problems = list(_tied_dense_problems())
     prepass = record_prepass(monkeypatch)
     for problem in problems:
         before = len(prepass)
         dense = solve_flow(problem)
         assert len(prepass) - before == dense.phases
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optim, "DENSE_ARCS_PER_NODE", problem.cost.size + 1)
-            full = solve_flow(problem)
-        assert len(prepass) == before + dense.phases
+        full = solve_flow_loops(problem)
         assert dense.flow_int == full.flow_int
         assert np.array_equal(dense.potentials, full.potentials)
         assert (dense.phases, dense.augmentations) == (full.phases, full.augmentations)
@@ -550,8 +611,10 @@ def test_flow_potentials_stay_below_the_largest_grid_cost_on_transport(kind, mon
 
 def test_flow_keeps_idle_sources_at_the_largest_grid_cost(monkeypatch):
     # a third of the points carry masses near 1e-23, which the grid rounds
-    # to zero: those sources ship nothing and nothing reaches them, and they
-    # stay at the largest cost instead of rising by the last label each phase
+    # to zero: those sources ship nothing and nothing reaches them, and on
+    # the dense path (n = 100) they stay at the largest cost instead of
+    # rising by the last label each phase; the network simplex (n = 20)
+    # keeps them in its tree, and its potentials are certified
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "solve_flow", lambda problem, tol: seen.append(problem) or solve_flow(problem, tol))
@@ -566,9 +629,12 @@ def test_flow_keeps_idle_sources_at_the_largest_grid_cost(monkeypatch):
     for problem in seen:
         res = assert_same_flow(problem, exact_path=True)
         idle = (problem.supplies > 0.0) & (np.abs(problem.supplies) < 1e-20)
-        assert idle.any() and res.phases > 1
-        assert (res.potentials[idle] == -problem.cost.max()).all()
+        assert idle.any()
+        if problem.cost.size >= optim.DENSE_ARCS_PER_NODE * problem.n_nodes:
+            assert res.phases > 1
+            assert (res.potentials[idle] == -problem.cost.max()).all()
         assert -res.potentials.min() <= problem.cost.max()
+    assert [p.n_nodes for p in seen] == [20, 100]
     assert prepass and all(largest <= top for largest, top in prepass)
 
 
@@ -582,6 +648,206 @@ def test_flow_matches_the_paired_edge_reference_on_the_grid_metric():
         supplies = rng.integers(-3, 4, size=n).astype(float)
         supplies[-1] -= supplies.sum()
         assert_same_flow(priced_by(supplies, dist[np.ix_(cells, cells)]), exact_path=False)
+
+
+def _sparse_problems(kind, rng, count):
+    """Transportation problems on 2..63 nodes, all below the density gate.
+
+    With n nodes, |sources| * |sinks| <= n**2 / 4 < DENSE_ARCS_PER_NODE * n.
+    Costs are uniform on [0, 3), spread over 2**-40..3 or rounded to ints.
+    """
+    for _ in range(count):
+        n = int(rng.integers(2, 64))
+        supplies, n_sources, n_sinks = _balanced_supplies(rng, n)
+        costs = rng.uniform(0.0, 3.0, (n_sources, n_sinks))
+        if kind == "spread":
+            costs *= 2.0 ** rng.integers(-40, 1, costs.shape)
+        elif kind == "integer":
+            costs = np.round(costs)
+        assert costs.size < optim.DENSE_ARCS_PER_NODE * n
+        yield FlowProblem(supplies, costs)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "spread", "integer"])
+def test_network_simplex_matches_the_paired_edge_reference(kind):
+    # both solve the same quantized instance exactly, so the optima agree
+    # bit for bit; float costs leave one optimum, so the flows agree too
+    rng = np.random.default_rng(70)
+    for problem in _sparse_problems(kind, rng, 40):
+        assert_same_flow(problem, exact_path=kind != "integer")
+
+
+@pytest.mark.parametrize("kind", ["uniform", "spread", "integer"])
+def test_network_simplex_matches_highs(kind):
+    # HiGHS solves the float transportation LP, solve_flow the quantized
+    # one, which is off by at most about 2**-60 relative
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(71)
+    for problem in _sparse_problems(kind, rng, 20):
+        n_sources, n_sinks = problem.cost.shape
+        # one row per source and per sink; they are dependent, so the last,
+        # which would take the supplies' float imbalance, is left out
+        rows = np.vstack([np.kron(np.eye(n_sources), np.ones(n_sinks)),
+                          np.kron(np.ones(n_sources), np.eye(n_sinks))])
+        rhs = np.abs(np.concatenate([problem.supplies[problem.supplies > 0.0],
+                                     problem.supplies[problem.supplies < 0.0]]))
+        want = linprog(problem.cost.ravel(), A_eq=rows[:-1], b_eq=rhs[:-1], method="highs")
+        assert want.status == 0
+        got = solve_flow(problem).cost
+        if kind == "spread":
+            # HiGHS's absolute tolerances cannot resolve costs near 2**-40 next
+            # to costs near 3: its optimum runs up to 44% above the exact one
+            # (measured), so it only bounds it: no plan of HiGHS is cheaper
+            assert got <= want.fun * (1.0 + 1e-12)
+        else:
+            assert got == pytest.approx(want.fun, rel=1e-12, abs=0.0)
+
+
+def test_network_simplex_handles_supplies_that_round_to_zero():
+    # masses near 1e-23 next to masses near 1 round to zero on the grid: a
+    # source of zero supply stays in the tree, a sink of zero demand stays
+    # out of it and takes the c-transform of the source potentials, and a
+    # node of supply 0.0 has no arcs
+    rng = np.random.default_rng(72)
+    zero_demand = 0
+    for _ in range(30):
+        n = int(rng.integers(4, 40))
+        supplies = rng.uniform(-2.0, 2.0, n)
+        tiny = rng.choice(n - 1, size=n // 3, replace=False)
+        supplies[tiny] = rng.uniform(1e-25, 1e-22, tiny.size) * rng.choice([-1.0, 1.0], tiny.size)
+        supplies[tiny[0]] = 0.0
+        supplies[-1] = 0.0
+        supplies[-1] = -supplies.sum() or 1.0
+        if supplies[-1] == 1.0:
+            supplies[0] = -1.0
+        problem = priced_by(supplies, rng.uniform(0.0, 3.0, (n, n)))
+        zero_demand += any(b == 0 for b, x in zip(grid_instance(problem)[1], supplies) if x < 0.0)
+        res = assert_same_flow(problem, exact_path=True)
+        assert (res.potentials <= 0.0).all() and -res.potentials.min() <= problem.cost.max()
+    assert zero_demand > 10
+
+
+def assert_strongly_feasible(tree):
+    """A spanning tree basis whose flows meet the supplies, whose potentials
+    make every tree arc tight and whose arcs that point down, away from
+    the root, carry flow."""
+    m, c = tree.m, tree.cost.tolist()
+    net = list(tree.supplies)
+    assert tree.parent[tree.root] == -1 and sum(map(len, tree.children)) == tree.nodes - 1
+    for x in range(tree.nodes):
+        if x == tree.root:
+            continue
+        p, f = tree.parent[x], tree.up_flow[x]
+        # depth rises by one from parent to child, so every node reaches the root
+        assert x in tree.children[p] and tree.depth[x] == tree.depth[p] + 1
+        i, t = (x, p) if x < m else (p, x)
+        assert i < m <= t
+        assert c[i][t - m] + tree.pot[i] - tree.pot[t] == 0
+        net[i] -= f
+        net[t] += f
+        # a sink's arc runs from its parent, down
+        assert f > 0 if x >= m else f >= 0
+    assert not any(net)
+
+
+def record_strongly_feasible_trees(monkeypatch):
+    """Every network simplex basis, checked at the start and after each pivot."""
+    trees = []
+    init, pivot = optim._BasisTree.__init__, optim._BasisTree.pivot
+
+    def checked_init(self, cost, supply, demand):
+        init(self, cost, supply, demand)
+        self.supplies = supply + [-d for d in demand]
+        self.start_depth = max(self.depth)
+        assert_strongly_feasible(self)
+        trees.append(self)
+
+    def checked_pivot(self, *entering):
+        theta = pivot(self, *entering)
+        assert_strongly_feasible(self)
+        return theta
+
+    monkeypatch.setattr(optim._BasisTree, "__init__", checked_init)
+    monkeypatch.setattr(optim._BasisTree, "pivot", checked_pivot)
+    return trees
+
+
+def test_network_simplex_terminates_on_degenerate_assignments(monkeypatch):
+    # unit supplies and demands: a basis of n sources and n sinks has 2n - 1
+    # arcs and at most n of them carry flow, so every basis is degenerate,
+    # and costs in {0, 1, 2, 3} tie often.  Every tree on the way must be
+    # strongly feasible, which is what rules out cycling
+    trees = record_strongly_feasible_trees(monkeypatch)
+    rng = np.random.default_rng(73)
+    degenerate = 0
+    for size in (2, 3, 5, 8, 13, 21, 31):
+        for _ in range(3):
+            supplies = np.repeat([1.0, -1.0], size)[rng.permutation(2 * size)]
+            problem = FlowProblem(supplies, rng.integers(0, 4, (size, size)).astype(float))
+            res = assert_same_flow(problem, exact_path=False)
+            degenerate += res.phases - res.augmentations
+    assert len(trees) == 21 and degenerate > 0
+
+
+def test_network_simplex_walks_a_start_that_is_one_alternating_path(monkeypatch):
+    # 31 sources and 31 sinks on a staircase s1 -> t1 <- s2 -> t2 ... <- s31
+    # -> t31 whose costs rise along it, from 1 - 61 * 2**-20 to 1 - 2**-20;
+    # each other arc costs a little more than the earlier of the two path
+    # arcs that close its source and its sink.  Each allocation of the
+    # least-cost start then closes one line, so the start is that one path
+    # through all 2 * min(|S|, |T|) = 62 nodes, 61 arcs deep from its root,
+    # and it is not optimal: the simplex pivots through deep trees whose
+    # costs all sit near the largest
+    size = 31
+    supplies = np.array([2.0] * size + [-3.0] + [-2.0] * (size - 2) + [-1.0])
+    # path arc r closes source r // 2 when r is even and sink r // 2 when odd,
+    # and the last closes both
+    path = [1.0 - (2 * size - 1 - r) * 2.0 ** -20 for r in range(2 * size - 1)]
+    costs = np.array([[min(path[2 * i], path[min(2 * j + 1, 2 * size - 2)]) + 2.0 ** -30
+                       for j in range(size)] for i in range(size)])
+    for r, c in enumerate(path):
+        costs[(r + 1) // 2, r // 2] = c
+    trees = record_strongly_feasible_trees(monkeypatch)
+    # the costs tie along the staircase, so the optimum need not be unique
+    res = assert_same_flow(FlowProblem(supplies, costs), exact_path=False)
+    assert [tree.start_depth for tree in trees] == [2 * size - 1]
+    assert res.phases > res.augmentations > 0
+    assert -res.potentials.min() <= costs.max()
+
+
+def test_network_simplex_prices_exactly_whatever_the_span_of_the_potentials():
+    # pivots can spread the potentials over several times the largest grid
+    # cost C, up to min(|S|, |T|) * C on a tree path of 2 * min(|S|, |T|)
+    # arcs; past a span of 2**62, cost + pot[source] - pot[sink] could wrap
+    # int64, so price() switches to exact ints there.  Spans at and past the
+    # switch, with the extremes on a source and a sink, are priced exactly
+    rng = np.random.default_rng(74)
+    cost = rng.integers(0, 2**60, (31, 31))
+    tree = optim._BasisTree(cost, [1] * 31, [1] * 31)
+    draw = random.Random(74)
+    for span in (2**61, 2**62 - 1, 2**62, 2**63 - 1, 2**63, 31 * int(cost.max())):
+        pot = [draw.randrange(-(span // 2), span - span // 2) for _ in range(62)]
+        pot[draw.randrange(31)], pot[31 + draw.randrange(31)] = span - span // 2, -(span // 2)
+        tree.pot = pot
+        exact = [[int(cost[i, j]) + pot[i] - pot[31 + j] for j in range(31)] for i in range(31)]
+        flat = [r for row in exact for r in row]
+        best = flat.index(min(flat))
+        assert tree.price() == (best // 31, best % 31, flat[best])
+
+
+def test_network_simplex_prices_in_exact_ints_past_2_to_the_62(monkeypatch):
+    # a 31 x 31 problem that a hill-climbing search over supplies and costs
+    # found: its pivots spread the potentials over 5.7 times the largest
+    # grid cost C, just below 2**60 here, so past 2**62, where price()
+    # forms the reduced costs from exact ints; the run still certifies
+    with np.load(Path(__file__).parent / "data" / "flow_wide_potentials.npz") as z:
+        problem = FlowProblem(z["supplies"], z["cost"])
+    spans = []
+    price = optim._BasisTree.price
+    monkeypatch.setattr(optim._BasisTree, "price",
+                        lambda self: spans.append(max(self.pot) - min(self.pot)) or price(self))
+    assert_same_flow(problem, exact_path=False)
+    assert max(spans) >= 2**62
 
 
 @pytest.mark.parametrize("cost", [
