@@ -20,19 +20,8 @@ import sys
 
 import numpy as np
 
-from krext import FiniteMetricSpace, asymptotic_profile, doubling_estimate
-
-
-def random_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
-    while True:
-        pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        off = d[~np.eye(n, dtype=bool)]
-        if off.min() > 1e-3:
-            return FiniteMetricSpace(
-                tuple(f"p{i}" for i in range(n)), d,
-                basepoint=int(rng.integers(n)),
-            )
+from krext import asymptotic_profile, doubling_estimate
+from krext.families import euclidean_space
 
 
 def run(min_points: int, max_points: int, trials: int, seed: int) -> list[dict]:
@@ -40,7 +29,7 @@ def run(min_points: int, max_points: int, trials: int, seed: int) -> list[dict]:
     rows = []
     for n in range(min_points, max_points + 1):
         for trial in range(trials):
-            space = random_space(rng, n)
+            space = euclidean_space(rng, n)
             profile = asymptotic_profile(space)
             lam = doubling_estimate(space)
             for entry in profile:

@@ -9,7 +9,8 @@ subsets together with their gentle-partition form, and ``extension``
 turns a projection (or a Lipschitz bound) into an extension operator
 for functions defined on the subset.  ``optim`` is the in-house exact
 solver layer underneath; ``io`` and ``cli`` expose it all as JSON files
-and subcommands.
+and subcommands; ``families`` draws the seeded spaces and subsets that
+experiments run on.
 
 Importing the package loads none of these modules.  Each public name
 below, and each submodule reached as an attribute, loads on first use,
@@ -43,8 +44,8 @@ _EXPORTS = {
          "operator_norm"), "extension"),
 }
 _SUBMODULES = frozenset(
-    ("cli", "errors", "extension", "io", "measures", "metric", "optim", "projections",
-     "transport"))
+    ("cli", "errors", "extension", "families", "io", "measures", "metric", "optim",
+     "projections", "transport"))
 
 __all__ = ["__version__", *_EXPORTS]
 

@@ -323,26 +323,25 @@ def _report_rows(space, sizes, seed: int, tol: float) -> list[dict]:
 
     import numpy as np
 
+    from .families import random_subset
     from .projections import synthesize_min_k, uniform_discrete_bound, weighted_tv_constant
 
     rng = np.random.default_rng(seed)
     n = space.n
     doubl = int(doubling_estimate(space))
-    others = [x for x in range(n) if x != space.basepoint]
     rows = []
     for size in sizes:
         if not (2 <= size <= n):
             raise ContractError(
                 f"report subset size {size} out of range [2, {n}]"
             )
-        pick = rng.choice(len(others), size=size - 1, replace=False)
-        members = tuple(sorted([space.basepoint] + [others[int(i)] for i in pick]))
-        subset = Subspace(space, members)
+        subset = random_subset(rng, space, size)
         start = time.perf_counter()
         strong = synthesize_min_k(space, subset, mode="strong", tol=tol)
         signed = synthesize_min_k(space, subset, mode="signed", tol=tol)
         tv = weighted_tv_constant(strong.projection)
-        eps = float(space.dist[np.ix_(members, members)][np.triu_indices(size, 1)].min())
+        within = space.dist[np.ix_(subset.members, subset.members)]
+        eps = float(within[np.triu_indices(size, 1)].min())
         bound = uniform_discrete_bound(space, subset, eps)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append({

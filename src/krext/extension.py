@@ -156,15 +156,21 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9) -> float:
     through transport flows.
     """
     check_tol(tol)
+    # the quotients are dimensionless: every LP lives on d / 2^e, 2^e the least
+    # power of two above the ambient diameter, as in synthesize_min_k, so that
+    # solve_lp sees data of order one and under d -> 2^k d poses the same LPs
+    # bit for bit
+    e = math.frexp(upsilon.space.diameter)[1]
+    dist = np.ldexp(upsilon.space.dist, -e)
     msp = upsilon.subset.to_space()
+    sub = np.ldexp(msp.dist, -e)
     free = np.flatnonzero(np.arange(msp.n) != msp.basepoint)
     # one row f(i) - f(j) <= d(i, j) per ordered pair of free members
     i, j = np.nonzero(~np.eye(free.size, dtype=bool))
     slopes = np.eye(free.size)
     A = slopes[i] - slopes[j]
-    b = msp.dist[free[i], free[j]]
-    bound = msp.dist[free, msp.basepoint]
-    dist = upsilon.space.dist
+    b = sub[free[i], free[j]]
+    bound = sub[free, msp.basepoint]
     objectives: dict[bytes, float] = {}   # pairs with equal c share one LP
     best = 0.0
     for x, y in zip(*np.triu_indices(upsilon.space.n, 1)):

@@ -828,6 +828,13 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
     duals of the original rows, and the objective in the original sense.
     Duals follow the minimize convention; they are negated internally
     when the problem maximizes so that strong duality reads the same.
+
+    The pivot floor and the tolerance floors are absolute (PIVOT_TOL,
+    tol * max(1, ...)), so the simplex expects data of order one: the
+    library's callers pose their LPs on the metric scaled to unit
+    diameter.  A standard form whose right-hand side overflows, after the
+    lower bounds are shifted out and the upper bounds become rows, is a
+    ContractError.
     """
     check_tol(tol)
     p = problem
@@ -845,8 +852,11 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
     m2 = m + boxed.size
     # b - A[:, j] * lb[j] one shifted column at a time, as a running sum
     shifted = np.flatnonzero(~free & (p.lb != 0.0))
-    b2 = np.cumsum(np.column_stack([p.b, -(p.A[:, shifted] * p.lb[shifted])]), axis=1)[:, -1]
-    b2 = np.concatenate([b2, p.ub[boxed] - p.lb[boxed]])
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        b2 = np.cumsum(np.column_stack([p.b, -(p.A[:, shifted] * p.lb[shifted])]), axis=1)[:, -1]
+        b2 = np.concatenate([b2, p.ub[boxed] - p.lb[boxed]])
+    if not np.all(np.isfinite(b2)):
+        raise ContractError("the LP's right-hand side overflows once the bounds are shifted out")
 
     # then a slack per inequality row (+1 for <=, -1 for >=); rows with
     # b < 0 flip so that b >= 0; a row whose slack reads +1 after the flip
@@ -919,7 +929,9 @@ def solve_lp(problem: LinearProgram, tol: float = 1e-9) -> LPResult:
     d_res = float(max(0.0, -np.min(rc[:nreal]))) if nreal else 0.0
     cert_tol = tol * max(1.0, scale_b, float(np.max(np.abs(c_phase2))) if ntot else 1.0)
     gap = abs(float(c_phase2[sx.basis] @ xB) - float(yb @ b2))
-    if p_res > 100 * cert_tol or d_res > 100 * cert_tol or gap > 100 * cert_tol * (1.0 + abs(objective)):
+    # written so that a NaN fails it
+    if not (p_res <= 100 * cert_tol and d_res <= 100 * cert_tol
+            and gap <= 100 * cert_tol * (1.0 + abs(objective))):
         raise SolverError(
             f"optimal basis failed certification: primal {p_res:.2e}, dual {d_res:.2e}, gap {gap:.2e}"
         )

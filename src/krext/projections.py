@@ -360,6 +360,10 @@ def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
     _check_subset_of(space, subset)
     _check_eps(eps)
     members = np.array(subset.members)
+    try:
+        t0 = operator.index(t0)
+    except TypeError:
+        raise ContractError(f"reference point must be an integer index, got {t0!r}") from None
     if t0 not in subset.members:
         raise ContractError(f"reference point {t0} is not a subset member")
     d = space.dist

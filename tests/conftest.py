@@ -1,10 +1,11 @@
 """Seeded generators shared by the whole suite.
 
 Every generator takes an explicit numpy Generator; nothing here touches
-ambient entropy.  Spaces come in two flavours: Euclidean point clouds
-(metric for free) and repaired random matrices (symmetrize, then take
-the shortest-path closure), which produce distance matrices with no
-geometric structure at all.
+ambient entropy.  Spaces and subsets come from ``krext.families``, under
+the names the suite calls them by: Euclidean point clouds (rand_space),
+repaired random matrices (rand_repaired_space) and subsets holding the
+basepoint (rand_subspace).  Measures, projections, partitions and
+functions on them are drawn here.
 """
 
 from __future__ import annotations
@@ -28,31 +29,10 @@ from krext import (
     SignedMeasure,
     Subspace,
 )
+from krext.families import euclidean_space as rand_space
+from krext.families import random_subset as rand_subspace
+from krext.families import repaired_space as rand_repaired_space
 from krext.optim import LinearProgram
-
-
-def rand_space(rng: np.random.Generator, n: int, dim: int = 2) -> FiniteMetricSpace:
-    """Euclidean point cloud with distinct points and a random basepoint."""
-    while True:
-        pts = rng.uniform(-5.0, 5.0, size=(n, dim))
-        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        np.fill_diagonal(d, 0.0)
-        off = d[~np.eye(n, dtype=bool)]
-        if n == 1 or off.min() > 1e-3:
-            break
-    labels = tuple(f"p{i}" for i in range(n))
-    return FiniteMetricSpace(labels, d, basepoint=int(rng.integers(n)))
-
-
-def rand_repaired_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
-    """Random symmetric matrix pushed into a metric by shortest paths."""
-    raw = rng.uniform(0.5, 4.0, size=(n, n))
-    d = (raw + raw.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    for k in range(n):  # Floyd-Warshall closure enforces the triangle inequality
-        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
-    labels = tuple(f"q{i}" for i in range(n))
-    return FiniteMetricSpace(labels, d, basepoint=int(rng.integers(n)))
 
 
 def rand_measure(rng: np.random.Generator, space: FiniteMetricSpace,
@@ -68,18 +48,6 @@ def rand_measure(rng: np.random.Generator, space: FiniteMetricSpace,
             c = -c
         coeff[int(i)] = c
     return SignedMeasure(space, coeff)
-
-
-def rand_subspace(rng: np.random.Generator, space: FiniteMetricSpace,
-                  size: int | None = None) -> Subspace:
-    """Random subset containing the basepoint."""
-    n = space.n
-    if size is None:
-        size = int(rng.integers(1, n + 1))
-    others = [x for x in range(n) if x != space.basepoint]
-    pick = rng.choice(len(others), size=size - 1, replace=False) if size > 1 else []
-    members = tuple(sorted([space.basepoint] + [others[int(i)] for i in pick]))
-    return Subspace(space, members)
 
 
 def _normalized(rng: np.random.Generator, k: int) -> np.ndarray:

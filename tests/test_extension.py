@@ -30,6 +30,7 @@ from krext import (
     projection_constant,
     RandomProjection,
     subspace_from_labels,
+    synthesize_min_k,
     uniform_discrete_projection,
 )
 from krext import extension
@@ -335,6 +336,34 @@ def test_operator_norm_agrees_with_projection_constant(seed):
         assert operator_norm(p) == pytest.approx(projection_constant(p), abs=1e-9)
 
 
+def rescaled(p: RandomProjection, s: float) -> RandomProjection:
+    """The same rows on the space whose distances are s times p's."""
+    space = FiniteMetricSpace(p.space.labels, p.space.dist * s, p.space.basepoint)
+    rows = tuple(SignedMeasure(space, row.coeff) for row in p.rows)
+    return RandomProjection(Subspace(space, p.subset.members), rows, p.strong)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_operator_norm_does_not_depend_on_the_unit(seed):
+    # solve_lp's floors are absolute, so operator_norm poses every pair LP on
+    # the metric scaled to unit diameter: a power-of-two unit changes no bit
+    rng = np.random.default_rng(seed)
+    space = rand_space(rng, 7)
+    p = synthesize_min_k(space, rand_subspace(rng, space, 3)).projection
+    unit = operator_norm(p)
+    for k in (-1000, -500, 500, 1000):
+        assert operator_norm(rescaled(p, 2.0 ** k)) == unit
+    for s in (1e-300, 1e300):
+        q = rescaled(p, s)
+        assert operator_norm(q) == pytest.approx(projection_constant(q), abs=1e-9)
+
+
+def test_operator_norm_at_the_largest_distances():
+    space = FiniteMetricSpace(("a", "b", "c"), 1e308 * (1.0 - np.eye(3)))
+    p = synthesize_min_k(space, Subspace(space, (0, 1))).projection
+    assert operator_norm(p) == pytest.approx(projection_constant(p), abs=1e-9)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_extension_operator_respects_the_norm_bound(seed):
@@ -350,7 +379,12 @@ def test_extension_operator_respects_the_norm_bound(seed):
 
 
 def operator_norm_loops(upsilon, tol=1e-9):
-    """Reference operator_norm: one LP per pair of rows that differ off the basepoint."""
+    """Reference operator_norm: one LP per pair of rows that differ off the basepoint.
+
+    As in operator_norm, the LPs live on the metric divided by the least
+    power of two above the diameter.
+    """
+    e = math.frexp(upsilon.space.diameter)[1]
     msp = upsilon.subset.to_space()
     free = [k for k in range(msp.n) if k != msp.basepoint]
     pairs = [(i, j) for i in free for j in free if i != j]
@@ -358,8 +392,8 @@ def operator_norm_loops(upsilon, tol=1e-9):
     for r, (i, j) in enumerate(pairs):
         A[r, free.index(i)] = 1.0
         A[r, free.index(j)] = -1.0
-    b = np.array([msp.dist[i, j] for i, j in pairs])
-    bound = msp.dist[free, msp.basepoint]
+    b = np.array([math.ldexp(msp.dist[i, j], -e) for i, j in pairs])
+    bound = np.ldexp(msp.dist[free, msp.basepoint], -e)
     best = 0.0
     for x in range(upsilon.space.n):
         for y in range(x + 1, upsilon.space.n):
@@ -367,7 +401,7 @@ def operator_norm_loops(upsilon, tol=1e-9):
             if np.any(c):
                 res = solve_lp(LinearProgram(c=c, A=A, senses=("<=",) * b.size, b=b,
                                              lb=-bound, ub=bound, maximize=True), tol=tol)
-                best = max(best, res.objective / float(upsilon.space.dist[x, y]))
+                best = max(best, res.objective / math.ldexp(upsilon.space.dist[x, y], -e))
     return best
 
 

@@ -33,6 +33,7 @@ from krext import (
     verify_duality,
 )
 from krext import metric
+from krext.families import grid_space
 
 
 def three_point() -> FiniteMetricSpace:
@@ -41,13 +42,6 @@ def three_point() -> FiniteMetricSpace:
         np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]),
         basepoint=0,
     )
-
-
-def grid_space(k: int) -> FiniteMetricSpace:
-    """Shortest paths in the k x k grid graph: integer distances, many ties."""
-    pts = np.array([(a, b) for a in range(k) for b in range(k)], dtype=float)
-    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    return FiniteMetricSpace(tuple(f"g{i}" for i in range(k * k)), d)
 
 
 def damaged_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:

@@ -26,6 +26,7 @@ from conftest import (
     synthesis_lp_loops,
 )
 from krext import ContractError, SignedMeasure, SolverError, Subspace, kr_norm, operator_norm
+from krext.families import grid_space
 from krext.optim import (
     FlowProblem,
     FlowResult,
@@ -36,7 +37,7 @@ from krext.optim import (
     solve_flow,
     solve_lp,
 )
-from test_metric import grid_space, three_point
+from test_metric import three_point
 from test_transport import scaled
 
 
@@ -1061,6 +1062,33 @@ def test_lp_rejects_an_upper_bound_without_a_lower_bound():
     with pytest.raises(ContractError, match="no lower bound"):
         LinearProgram(np.array([1.0]), np.zeros((0, 1)), (), np.zeros(0),
                       lb=np.array([-np.inf]), ub=np.array([3.0]))
+
+
+@pytest.mark.parametrize("lp", [
+    # the box row's right-hand side ub - lb is 2e308
+    LinearProgram(np.array([1.0]), np.ones((1, 1)), ("<=",), np.ones(1),
+                  lb=np.array([-1e308]), ub=np.array([1e308]), maximize=True),
+    # shifting x >= -1e308 out of x1 + x2 <= 1e308 leaves 3e308 on the right
+    LinearProgram(np.ones(2), np.ones((1, 2)), ("<=",), np.array([1e308]), lb=np.full(2, -1e308)),
+], ids=["box", "shift"])
+def test_lp_refuses_a_standard_form_that_overflows(lp):
+    with pytest.raises(ContractError, match="right-hand side overflows"):
+        solve_lp(lp)
+
+
+def test_lp_certification_fails_on_nan_duals(monkeypatch):
+    # every comparison with NaN is false, so the check must ask that each
+    # margin is within its bound, not that none is past it
+    real_run = optim._Simplex.run
+
+    def run(self, c, allowed, pinned=()):
+        out = real_run(self, c, allowed, pinned)
+        self._solve_basis = lambda rhs: np.full(len(rhs), np.nan)
+        return out
+
+    monkeypatch.setattr(optim._Simplex, "run", run)
+    with pytest.raises(SolverError, match="failed certification"):
+        solve_lp(stacked_degenerate_lp())
 
 
 def stacked_degenerate_lp():

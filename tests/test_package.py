@@ -119,3 +119,11 @@ def test_krnorm_loads_no_projection_or_extension_layer(workdir):
     loaded = loaded_after(code, workdir)
     assert "krext.transport" in loaded
     assert not loaded & {"krext.projections", "krext.extension"}
+
+
+def test_only_report_loads_the_families_module(workdir):
+    report = "import krext.cli\nassert krext.cli.main(['report', 'space.json', '--sizes', '2,3', '--out', 'r.json']) == 0"
+    assert "krext.families" in loaded_after(report, workdir)
+    assert len(json.loads((workdir / "r.json").read_text())["rows"]) == 2
+    krnorm = "import krext.cli\nassert krext.cli.main(['krnorm', 'space.json', 'mu.json', '--out', 'o.json']) == 0"
+    assert "krext.families" not in loaded_after(krnorm, workdir)

@@ -43,6 +43,7 @@ from krext import (
     weighted_tv_constant,
 )
 from krext import optim, projections
+from krext.families import grid_space
 from krext.optim import LinearProgram, solve_lp
 from test_metric import three_point
 from test_optim import captured_lps, highs_linprog
@@ -488,6 +489,15 @@ def test_udp_rejects_insufficient_separation():
         uniform_discrete_projection(space, sub, eps=10.0, t0=0)
 
 
+def test_udp_reads_the_reference_point_as_an_index():
+    space = line_space(0, 3, 8, 10)
+    sub = subspace_from_labels(space, ["0", "10"])
+    with pytest.raises(ContractError, match="integer index"):
+        uniform_discrete_projection(space, sub, eps=10.0, t0=0.0)
+    want = uniform_discrete_projection(space, sub, eps=10.0, t0=3)
+    assert uniform_discrete_projection(space, sub, eps=10.0, t0=np.int64(3)).rows == want.rows
+
+
 def test_udp_separation_check_is_relative_to_eps():
     # d(0, 1) = eps/2 breaks eps-separation at every scale, {0, 10} never does
     base = line_space(0, 1, 3, 10)
@@ -690,6 +700,52 @@ def test_synthesize_signed_never_beats_strong_by_much(seed):
     assert signed.k_star >= strong.k_star * (1 - 1e-7)
     if subset.size >= 2:
         assert signed.k_star >= 1.0 - 1e-9
+
+
+def random_line(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
+    """n points of [0, 10] under |s - t|, at least 1e-3 apart, and a random basepoint."""
+    while True:
+        pts = rng.uniform(0.0, 10.0, size=n)
+        if np.diff(np.sort(pts)).min() > 1e-3:
+            break
+    d = np.abs(np.subtract.outer(pts, pts))
+    return FiniteMetricSpace(tuple(f"t{i}" for i in range(n)), d, basepoint=int(rng.integers(n)))
+
+
+def random_ultrametric(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
+    """d(i, j) = max of random heights h[min(i, j):max(i, j)], under a random relabelling."""
+    h = rng.uniform(0.5, 4.0, size=n - 1)
+    d = np.zeros((n, n))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        d[i, j] = d[j, i] = h[i:j].max()
+    order = rng.permutation(n)
+    return FiniteMetricSpace(tuple(f"u{i}" for i in range(n)), d[np.ix_(order, order)],
+                             basepoint=int(rng.integers(n)))
+
+
+@pytest.mark.parametrize("family", [random_line, random_ultrametric])
+@pytest.mark.parametrize("mode", ["strong", "signed"])
+def test_synthesized_k_is_one_on_lines_and_ultrametrics(family, mode):
+    # on a line, interpolating between the neighbouring members is a
+    # 1-random projection; in an ultrametric, two points closer than their
+    # distance to M are equidistant from every member, so the nearest-member
+    # retraction (ties: the lowest index) is 1-Lipschitz
+    rng = np.random.default_rng(1601)
+    for _ in range(12):
+        space = family(rng, int(rng.integers(4, 11)))
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
+        assert synthesize_min_k(space, subset, mode=mode).k_star == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", ["repaired", "grid"])
+def test_signed_and_strong_k_agree_on_repaired_spaces_and_the_grid(family):
+    rng = np.random.default_rng(1607)
+    for _ in range(10):
+        space = rand_repaired_space(rng, int(rng.integers(4, 9))) if family == "repaired" else grid_space(3)
+        subset = rand_subspace(rng, space, size=int(rng.integers(2, space.n)))
+        strong = synthesize_min_k(space, subset, mode="strong")
+        signed = synthesize_min_k(space, subset, mode="signed")
+        assert signed.k_star == pytest.approx(strong.k_star, rel=1e-7)
 
 
 @pytest.mark.parametrize("mode", ["strong", "signed"])

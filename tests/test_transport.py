@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import rand_measure, rand_repaired_space, rand_space
 import krext.transport as transport
 from krext import ContractError, FiniteMetricSpace, SignedMeasure, kr_norm, verify_duality, w1
+from krext.families import grid_space
 from krext.optim import FlowProblem, LinearProgram, solve_lp
 from test_metric import three_point
 
@@ -345,13 +346,6 @@ def test_kr_norm_far_below_unit_scale_keeps_its_precision():
     assert verify_duality(tiny)[0]
 
 
-def grid_space(side: int = 6) -> FiniteMetricSpace:
-    """Path metric of the side x side grid graph: integer distances, many ties."""
-    xy = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
-    d = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
-    return FiniteMetricSpace(tuple(f"c{i}_{j}" for i, j in xy.astype(int)), d, basepoint=0)
-
-
 def transport_lp_value(space: FiniteMetricSpace, supplies: np.ndarray) -> float:
     """Independent oracle: scipy's linprog over flows on every ordered pair."""
     linprog = pytest.importorskip("scipy.optimize").linprog
@@ -369,7 +363,7 @@ def transport_lp_value(space: FiniteMetricSpace, supplies: np.ndarray) -> float:
 @pytest.mark.parametrize("seed", range(4))
 def test_tie_heavy_grid_metric_matches_linprog(seed):
     rng = np.random.default_rng(seed)
-    space = grid_space()
+    space = grid_space(6)
     n = space.n
     mu = SignedMeasure(space, dict(enumerate(rng.integers(-3, 4, size=n).astype(float))))
     res = kr_norm(mu)
