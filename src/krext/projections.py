@@ -303,15 +303,11 @@ def gentle_to_projection(g: GentlePartition) -> RandomProjection:
 
 
 def _dyadic_weights(k: int) -> np.ndarray:
-    """k powers of two summing to exactly 1, largest first."""
-    w = [1.0]
-    while len(w) < k:
-        w.sort(reverse=True)
-        h = w.pop(0) / 2.0
-        w.append(h)
-        w.append(h)
-    w.sort(reverse=True)
-    return np.array(w)
+    """k powers of two summing to exactly 1, largest first: for 2^p <= k < 2^(p+1),
+    2^(p+1) - k copies of 2^-p, then 2(k - 2^p) copies of 2^-(p+1)."""
+    p = k.bit_length() - 1
+    big = 2 ** (p + 1) - k
+    return np.repeat(np.ldexp(1.0, [-p, -p - 1]), [big, k - big])
 
 
 def projection_to_gentle(p: RandomProjection) -> GentlePartition:
@@ -502,6 +498,8 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
 
 @dataclass(frozen=True)
 class ProfileEntry:
+    """deviations[x] is the dual-Lip distance from rows[x] to delta_x: a strong row has one
+    coupling to a point mass, so it is sum_m rows[x](m) * d(m, x), 0.0 for members."""
     size: int
     members: tuple[int, ...]
     k_star: float
@@ -516,8 +514,9 @@ def asymptotic_profile(space: FiniteMetricSpace,
     order is a permutation of the points starting at the basepoint; the
     k-th subset consists of its first k entries.  Each entry reports
     the minimal K and, per point, the dual-Lip distance between its row
-    and its own point mass — identically zero once the point joins the
-    subset, and zero everywhere at full size.
+    and its own point mass.  A strong row has one coupling to that point
+    mass, so the distance is sum_m rows[x](m) * d(m, x), with no transport
+    solve: exactly 0.0 for members, and everywhere at full size.
     """
     check_tol(tol)
     n = space.n
@@ -536,11 +535,8 @@ def asymptotic_profile(space: FiniteMetricSpace,
         members = tuple(sorted(order[:k]))
         sub = Subspace(space, members)
         res = synthesize_min_k(space, sub, "strong", tol=tol)
-        deviations: dict[int, float] = {}
-        for x in range(n):
-            diff = res.projection.rows[x] - SignedMeasure.dirac(space, x)
-            deviations[x] = kr_norm(diff, tol=tol).value if diff.support else 0.0
-        entries.append(ProfileEntry(k, members, res.k_star, deviations))
+        deviations = (res.projection.coeffs * space.dist[:, members]).sum(axis=1)
+        entries.append(ProfileEntry(k, members, res.k_star, dict(enumerate(deviations.tolist()))))
     return entries
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_repaired_space, rand_space
+from conftest import rand_repaired_space, rand_space, rand_subspace
 from krext import (
     ContractError,
     FiniteMetricSpace,
@@ -368,11 +368,7 @@ def test_subspace_from_labels():
 def test_restriction_of_metric_is_metric(seed, n):
     rng = np.random.default_rng(seed)
     space = rand_repaired_space(rng, n)
-    size = int(rng.integers(1, n + 1))
-    others = [x for x in range(n) if x != space.basepoint]
-    pick = rng.choice(len(others), size=size - 1, replace=False) if size > 1 else []
-    members = sorted([space.basepoint] + [others[int(i)] for i in pick])
-    assert validate_metric(restrict(space, members)) == []
+    assert validate_metric(restrict(space, rand_subspace(rng, space).members)) == []
 
 
 # ---------------------------------------------------------------------------

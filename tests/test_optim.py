@@ -25,7 +25,7 @@ from conftest import (
     rand_subspace,
     synthesis_lp_loops,
 )
-from krext import ContractError, SignedMeasure, SolverError, Subspace, kr_norm, operator_norm
+from krext import ContractError, SignedMeasure, SolverError, kr_norm, operator_norm
 from krext.families import grid_space
 from krext.optim import (
     FlowProblem,
@@ -335,10 +335,10 @@ def test_flow_on_grid_distances_matches_spanning_tree_enumeration(seed):
     # integer supplies, so Dijkstra distances and bottlenecks tie often
     rng = np.random.default_rng(seed)
     n = 6
-    xy = np.stack(np.divmod(rng.choice(36, size=n, replace=False), 6), axis=1)
+    cells = rng.choice(36, size=n, replace=False)
     supplies = rng.integers(-3, 4, size=n).astype(float)
     supplies[-1] -= supplies.sum()
-    full = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2).astype(float)
+    full = grid_space(6).dist[np.ix_(cells, cells)]
     res = solve_flow(priced_by(supplies, full))
     assert res.cost == _tree_flow_cost(n, _transport_arcs(supplies, full), supplies)
     # below the density gate the network simplex runs: of its pivots, some ship flow
@@ -641,8 +641,7 @@ def test_flow_keeps_idle_sources_at_the_largest_grid_cost(monkeypatch):
 
 def test_flow_matches_the_paired_edge_reference_on_the_grid_metric():
     rng = np.random.default_rng(63)
-    xy = np.stack(np.divmod(np.arange(36), 6), axis=1)
-    dist = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2).astype(float)
+    dist = grid_space(6).dist
     for _ in range(20):
         n = int(rng.integers(2, 13))
         cells = rng.choice(36, size=n, replace=False)
@@ -1451,9 +1450,7 @@ def test_lp_raises_rather_than_call_a_feasible_program_infeasible():
     # be unbounded, so that verdict must not come out as "infeasible"
     rng = np.random.default_rng(0)
     space = rand_repaired_space(rng, 12)
-    others = [x for x in range(space.n) if x != space.basepoint]
-    picked = rng.choice(others, 4, replace=False)
-    subset = Subspace(space, tuple(sorted([space.basepoint, *map(int, picked)])))
+    subset = rand_subspace(rng, space, 5)
     out = _outcome(solve_lp, synthesis_lp_loops(space, subset, "signed"))
     assert isinstance(out, str) or out.status == "optimal"
 

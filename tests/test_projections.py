@@ -42,7 +42,7 @@ from krext import (
     uniform_discrete_projection,
     weighted_tv_constant,
 )
-from krext import optim, projections
+from krext import optim, projections, transport
 from krext.families import grid_space
 from krext.optim import LinearProgram, solve_lp
 from test_metric import three_point
@@ -353,6 +353,25 @@ def test_partition_weights_are_dyadic():
         assert math.fsum(float(w) for w in g.weights) == 1.0
         for w in g.weights:
             assert float(w) == 2.0 ** int(math.log2(float(w)))
+
+
+def dyadic_weights_loop(k):
+    """Reference for _dyadic_weights: halve a largest weight until there are k."""
+    w = [1.0]
+    while len(w) < k:
+        w.sort(reverse=True)
+        h = w.pop(0) / 2.0
+        w.append(h)
+        w.append(h)
+    w.sort(reverse=True)
+    return np.array(w)
+
+
+def test_dyadic_weights_match_the_halving_loop_bit_for_bit():
+    for k in range(1, 257):
+        got = projections._dyadic_weights(k)
+        assert got.dtype == np.float64
+        assert got.tobytes() == dyadic_weights_loop(k).tobytes()
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -793,9 +812,7 @@ def sweep_12_5():
             for mode in ("strong", "signed"):
                 rng = np.random.default_rng(seed)
                 space = make(rng, 12)
-                others = [x for x in range(space.n) if x != space.basepoint]
-                picked = rng.choice(others, 4, replace=False)
-                subset = Subspace(space, tuple(sorted([space.basepoint, *map(int, picked)])))
+                subset = rand_subspace(rng, space, 5)
                 out.append((space, subset, mode, synthesize_min_k(space, subset, mode=mode)))
     return out
 
@@ -824,9 +841,7 @@ def synthesis_30_8():
     """Seed-1 strong synthesis at (30, 8), by the subset rule of sweep_12_5, with its masters."""
     rng = np.random.default_rng(1)
     space = rand_space(rng, 30)
-    others = [x for x in range(space.n) if x != space.basepoint]
-    picked = rng.choice(others, 7, replace=False)
-    subset = Subspace(space, tuple(sorted([space.basepoint, *map(int, picked)])))
+    subset = rand_subspace(rng, space, 8)
     out = []
     masters = captured_lps(projections, lambda: out.append(synthesize_min_k(space, subset)))
     return out[0], masters
@@ -932,9 +947,7 @@ def test_synthesis_is_bitwise_invariant_under_power_of_two_scaling(seed, k, mode
 def test_synthesis_k_does_not_depend_on_the_unit(scale):
     rng = np.random.default_rng(0)
     space = rand_space(rng, 8)
-    others = [x for x in range(8) if x != space.basepoint]
-    picked = rng.choice(others, 3, replace=False)
-    members = tuple(sorted([space.basepoint] + [int(x) for x in picked]))
+    members = rand_subspace(rng, space, 4).members
     scaled = FiniteMetricSpace(space.labels, space.dist * scale, space.basepoint)
     want = synthesize_min_k(space, Subspace(space, members)).k_star
     got = synthesize_min_k(scaled, Subspace(scaled, members)).k_star
@@ -970,16 +983,35 @@ def test_profile_member_deviations_vanish():
 
 
 def test_profile_exterior_deviations_are_transport_to_the_point():
-    # a probability row has exactly one coupling to a point mass, so the
-    # deviation of x is sum_m rows[x](m) * d(m, x)
+    # the profile reads each deviation off the coefficients in closed form;
+    # kr_norm solves the transport problem for it
     rng = np.random.default_rng(47)
     for n in (4, 5, 6, 7, 8, 9):
         for space in (rand_space(rng, n), rand_repaired_space(rng, n)):
             for entry in asymptotic_profile(space):
                 proj = synthesize_min_k(space, Subspace(space, entry.members), mode="strong").projection
                 for x in set(range(n)) - set(entry.members):
-                    cost = math.fsum(c * space.d(m, x) for m, c in proj.rows[x].coeff.items())
-                    assert abs(entry.deviations[x] - cost) <= 1e-12 * space.diameter
+                    want = kr_norm(proj.rows[x] - SignedMeasure.dirac(space, x)).value
+                    assert abs(entry.deviations[x] - want) <= 1e-12 * space.diameter
+
+
+def test_profile_solves_no_transport_problem_beyond_its_syntheses(monkeypatch):
+    calls = []
+    real = transport.kr_norm
+
+    def spy(mu, *args, **kwargs):
+        calls.append(mu.as_vector().tobytes())
+        return real(mu, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "kr_norm", spy)
+    monkeypatch.setattr(projections, "kr_norm", spy)
+    space = rand_space(np.random.default_rng(53), 7)
+    profile = asymptotic_profile(space)
+    in_profile = calls[:]
+    calls.clear()
+    for entry in profile:
+        synthesize_min_k(space, Subspace(space, entry.members), mode="strong")
+    assert calls and in_profile == calls
 
 
 def test_profile_line_matches_independent_synthesis():
