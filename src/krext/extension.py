@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SolverError, check_tol
-from .metric import FiniteMetricSpace, Subspace
+from .metric import FiniteMetricSpace, Subspace, _require_separated
 from .optim import LinearProgram, solve_lp
 from .projections import RandomProjection
 
@@ -78,6 +78,7 @@ def lip_norm(f: PointFunction) -> float:
 
 def _worst_pair(f: PointFunction) -> tuple[int, int, float]:
     """The first pair (i, j), i < j, attaining lip_norm, and that ratio."""
+    _require_separated(f.space)
     i, j = np.triu_indices(f.space.n, 1)
     diff = f.values[i] - f.values[j]
     if f.norm == "sup":
@@ -156,6 +157,7 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9) -> float:
     through transport flows.
     """
     check_tol(tol)
+    _require_separated(upsilon.space)
     # the quotients are dimensionless: every LP lives on d / 2^e, 2^e the least
     # power of two above the ambient diameter, as in synthesize_min_k, so that
     # solve_lp sees data of order one and under d -> 2^k d poses the same LPs

@@ -167,6 +167,22 @@ def require_valid_metric(space: FiniteMetricSpace, tol: float = 1e-9) -> None:
         raise ContractError(f"not a metric space: {lines}{more}")
 
 
+def _require_separated(space: FiniteMetricSpace) -> None:
+    """Raise naming the first entry, row-major, of two distinct points at distance <= 0.
+
+    Every quotient by d(x, y) needs it positive; validate_metric reports
+    such a pair instead of raising.
+    """
+    d = space.dist
+    bad = np.argwhere((d <= 0.0) & ~np.eye(space.n, dtype=bool))
+    if bad.size:
+        i, j = bad[0]
+        raise ContractError(
+            f"distinct points {space.labels[i]!r} and {space.labels[j]!r} are at distance "
+            f"{float(d[i, j])!r}; a quotient by d(x, y) needs it positive"
+        )
+
+
 def restrict(space: FiniteMetricSpace, members: Sequence[int]) -> FiniteMetricSpace:
     """The induced metric on a subset of points, labels preserved.
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ContractError, SolverError, check_tol
 from .measures import SignedMeasure
-from .metric import FiniteMetricSpace, Subspace
+from .metric import FiniteMetricSpace, Subspace, _require_separated
 from .optim import LinearProgram, solve_lp
 from .transport import TransportResult, kr_norm
 
@@ -237,6 +237,7 @@ def gentle_constant(g: GentlePartition) -> float:
     Maximum over ordered pairs x != y of
     sum_w P(w) * d(gamma(w), x) * |psi(w, x) - psi(w, y)| / d(x, y).
     """
+    _require_separated(g.space)
     d = g.space.dist
     return _max_weighted_variation(d, g.weights[:, None] * d[list(g.gamma)], g.psi)
 
@@ -247,28 +248,30 @@ def weighted_tv_constant(p: RandomProjection) -> float:
     sum over members m of d(m, x) * |rows[x](m) - rows[y](m)|, divided
     by d(x, y); dominates the dual-Lip quotient of projection_constant.
     """
+    _require_separated(p.space)
     d = p.space.dist
     return _max_weighted_variation(d, d[list(p.subset.members)], p.coeffs.T)
 
 
-def _difference_quotients(p: RandomProjection, tol: float,
-                          solved: dict[bytes, TransportResult]
+def _difference_quotients(space: FiniteMetricSpace, members: Sequence[int], coeffs: np.ndarray,
+                          tol: float, solved: dict[bytes, TransportResult]
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
     """The pairs x < y whose rows differ, with kr_norm(rows[x] - rows[y]) / d(x, y).
 
-    Returns x, y, the quotients and each pair's key, the bytes of its row
-    difference.  solved maps keys to kr_norm results and is filled as
-    needed, so pairs with equal differences share one solve.
+    rows[x] is sum_k coeffs[x, k] * delta(members[k]).  Returns x, y, the
+    quotients and each pair's key, the bytes of its row difference.  solved
+    maps keys to kr_norm results and fills as needed, so pairs with equal
+    differences share one solve, and a synthesis cut (x, y, key) finds its f there.
     """
-    space = p.space
+    _require_separated(space)
     x, y = np.triu_indices(space.n, 1)
-    diff = p.coeffs[x] - p.coeffs[y]
+    diff = coeffs[x] - coeffs[y]
     differ = diff.any(axis=1)
     x, y, diff = x[differ], y[differ], diff[differ]
     keys = [c.tobytes() for c in diff]
     for key, c in zip(keys, diff):
         if key not in solved:
-            mu = SignedMeasure(space, dict(zip(p.subset.members, c.tolist())))
+            mu = SignedMeasure(space, dict(zip(members, c.tolist())))
             solved[key] = kr_norm(mu, tol=tol)
     values = np.array([solved[key].value for key in keys])
     return x, y, values / space.dist[x, y], keys
@@ -282,7 +285,7 @@ def projection_constant(p: RandomProjection, tol: float = 1e-9) -> float:
     by the same coefficient vector share one solve.
     """
     check_tol(tol)
-    quotients = _difference_quotients(p, tol, {})[2]
+    quotients = _difference_quotients(p.space, p.subset.members, p.coeffs, tol, {})[2]
     return float(quotients.max(initial=0.0))
 
 
@@ -408,20 +411,20 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     """Minimize K over all projections onto the subset, by Kelley's cutting planes.
 
     K* is the least, over projections, of the max over pairs of
-    kr_norm(rows[x] - rows[y]) / d(x, y).  The potential f that kr_norm
-    certifies for a row difference gives the cut
+    kr_norm(rows[x] - rows[y]) / d(x, y).  A cut is the data (x, y, f), f
+    the potential kr_norm certifies for the row difference; it states
     sum_a f(a) * (rows[x](a) - rows[y](a)) <= K * d(x, y), valid for every
-    projection and tight at the current one.  From the nearest-member
-    retraction and K_lb = 1, each round adds the cut of every pair whose
-    quotient exceeds K_lb*(1 + tol); the master LP, min K over the cuts
-    with K >= 1 as a bound, then gives the next projection and, as a
+    projection and tight at the current one.  The loop works on the (n, |M|)
+    coefficient matrix, from the nearest-member retraction and K_lb = 1.
+    Each round the master LP, min K over the cuts with K >= 1 a bound,
+    grows by one block: the cuts of the pairs whose quotient exceeds
+    K_lb*(1 + tol).  Its solution gives the next coefficients and, as a
     relaxation, the next K_lb.  Once no pair is violated, the largest
-    quotient, the projection's projection_constant, is returned as K*.
-    The potentials vanish at the basepoint, so no cut sees an exterior
-    row's basepoint coefficient: the master holds only the others, and the
-    basepoint's is 1 minus their sum, which gives every row mass 1.
-    Signed mode leaves the others free; strong mode keeps them nonnegative
-    with their sum at most 1, so that the basepoint's share is too.
+    quotient, the projection_constant of the returned projection, is K*.
+    The potentials vanish at the basepoint, so the master holds only an
+    exterior row's other coefficients, the basepoint's being 1 minus their
+    sum.  Signed mode leaves the others free; strong mode keeps them
+    nonnegative with their sum at most 1, so that the basepoint's is too.
     """
     check_tol(tol)
     if mode not in ("strong", "signed"):
@@ -440,55 +443,50 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     others = [k for k in range(m) if k != base]
     exterior = np.array(subset.complement(), dtype=int)
     n_ext = exterior.size
-    # variables: K >= 1, then one coefficient per (exterior point, member
-    # other than the basepoint); first[x] is the first column of exterior point x
+    inside = np.isin(np.arange(n), members)
+    # variables: K >= 1, then coeffs[exterior, others] row by row
     n_vars = 1 + n_ext * (m - 1)
-    first = np.full(n, -1)
-    first[exterior] = 1 + (m - 1) * np.arange(n_ext)
     c = np.zeros(n_vars)
     c[0] = 1.0
     lb = np.zeros(n_vars)
     lb[0] = 1.0
     if not strong:
         lb[1:] = -np.inf
-    # rows: in strong mode, the others of each exterior row sum to at most 1,
-    # the slack being its basepoint coefficient; then the cuts
-    rows = [*np.hstack([np.zeros((n_ext, 1)), np.kron(np.eye(n_ext), np.ones(m - 1))])] if strong else []
-    rhs = [1.0] * len(rows)
+    # strong mode: each exterior row's others sum to <= 1, the slack its basepoint share
+    A = np.hstack([np.zeros((n_ext, 1)), np.kron(np.eye(n_ext), np.ones(m - 1))]) if strong else np.zeros((0, n_vars))
+    b = np.ones(len(A))
     # the first projection is the nearest-member retraction (ties: the lowest index)
     coeffs = (np.argmin(d[:, members], axis=1)[:, None] == np.arange(m)).astype(float)
     k_lb = 1.0
     solved: dict[bytes, TransportResult] = {}
     held: set[tuple[int, int, bytes]] = set()
     while True:
-        p = _from_coeffs(subset, coeffs, strong)
-        x, y, quotients, keys = _difference_quotients(p, tol, solved)
+        x, y, quotients, keys = _difference_quotients(space, members, coeffs, tol, solved)
         violated = np.flatnonzero(quotients > k_lb * (1.0 + tol))
         if not violated.size:
-            return SynthesisResult(float(quotients.max(initial=0.0)), p)
-        for i in violated.tolist():
-            xi, yi, key = int(x[i]), int(y[i]), keys[i]
-            # the master's solution meets every cut it holds, up to round-off
-            if (xi, yi, key) in held:
-                raise SolverError(f"synthesis master violates its own cut for pair "
-                                  f"({xi}, {yi}) on |X|={n}, |M|={m}, mode={mode}")
-            held.add((xi, yi, key))
-            f = np.ldexp(solved[key].potentials, -e)
-            row = np.zeros(n_vars)
-            row[0] = -d[xi, yi]
-            bound = 0.0
-            for point, sign in ((xi, 1.0), (yi, -1.0)):
-                if first[point] < 0:   # a member's row is its own point mass
-                    bound -= sign * f[point]
-                else:
-                    row[first[point]:first[point] + m - 1] = sign * f[members][others]
-            rows.append(row)
-            rhs.append(bound)
-        res = solve_lp(LinearProgram(c, np.array(rows), ("<=",) * len(rows), np.array(rhs), lb), tol=tol)
+            return SynthesisResult(float(quotients.max(initial=0.0)), _from_coeffs(subset, coeffs, strong))
+        x, y = x[violated], y[violated]
+        cuts = list(zip(x.tolist(), y.tolist(), [keys[i] for i in violated]))
+        # the master's solution meets every cut it holds, up to round-off
+        again = [cut for cut in cuts if cut in held]
+        if again:
+            raise SolverError(f"synthesis master violates its own cut for pair "
+                              f"({again[0][0]}, {again[0][1]}) on |X|={n}, |M|={m}, mode={mode}")
+        held.update(cuts)
+        # row r: -d(x, y) on K, f on coeffs[x, others], -f on coeffs[y, others]; the
+        # master keeps exterior rows, and a member's row, its point mass, puts its term in b
+        f = np.ldexp([solved[key].potentials for _, _, key in cuts], -e)
+        r = np.arange(len(cuts))
+        on_others = np.zeros((len(cuts), n, m - 1))
+        on_others[r, x], on_others[r, y] = f[:, members][:, others], -f[:, members][:, others]
+        A = np.vstack([A, np.hstack([-d[x, y][:, None], on_others[:, exterior].reshape(len(cuts), -1)])])
+        b = np.concatenate([b, (0.0 - np.where(inside[x], f[r, x], 0.0)) + np.where(inside[y], f[r, y], 0.0)])
+        res = solve_lp(LinearProgram(c, A, ("<=",) * len(b), b, lb), tol=tol)
         if res.status != "optimal":
             raise SolverError(f"synthesis master LP ended {res.status} on |X|={n}, |M|={m}, mode={mode}")
         k_lb = res.objective
-        coeffs[np.ix_(exterior, others)] = res.x[1:].reshape(n_ext, m - 1)
+        # + 0.0 turns -0.0 into 0.0, so that equal row differences have one key
+        coeffs[np.ix_(exterior, others)] = res.x[1:].reshape(n_ext, m - 1) + 0.0
         coeffs[exterior, base] = 1.0 - coeffs[np.ix_(exterior, others)].sum(axis=1)
 
 

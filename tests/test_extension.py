@@ -36,8 +36,8 @@ from krext import (
 from krext import extension
 from krext.extension import _worst_pair
 from krext.optim import LinearProgram, solve_lp
-from test_metric import three_point
-from test_projections import separated_example
+from test_metric import coincident_pair, three_point
+from test_projections import coincident_projection, separated_example
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +422,15 @@ def test_operator_norm_solves_each_row_difference_once(monkeypatch):
     assert len(calls) == len(distinct) < np.count_nonzero(np.any(diffs, axis=1))
     monkeypatch.undo()
     assert value == operator_norm_loops(p)
+
+
+def test_lip_norm_and_operator_norm_refuse_distinct_points_at_distance_zero(monkeypatch):
+    # a quotient by d(b, c) = 0 is NaN or infinite, or raises ZeroDivisionError
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the distances were checked")
+
+    monkeypatch.setattr(extension, "solve_lp", no_solve)
+    f = PointFunction.scalar(coincident_pair(), [0.0, 1.0, 1.0, 2.0])
+    for call in (lambda: lip_norm(f), lambda: operator_norm(coincident_projection())):
+        with pytest.raises(ContractError, match=r"distinct points 'b' and 'c' are at distance 0\.0"):
+            call()

@@ -33,7 +33,7 @@ from krext import (
     uniform_discrete_projection,
     weighted_tv_constant,
 )
-from test_metric import three_point
+from test_metric import coincident_pair, three_point
 
 
 @pytest.fixture
@@ -571,3 +571,33 @@ def test_cli_asymptotic(files, capsys):
     assert [e["size"] for e in profile] == [1, 2, 3]
     assert profile[-1]["k_star"] == 1.0
     assert profile[0]["deviations"] == {"a": 0.0, "b": 1.0, "c": 2.0}
+
+
+@pytest.fixture
+def coincident_files(tmp_path):
+    """coincident_pair on disk, with a projection onto {a, b, c} and a function there."""
+    kio.write_json(tmp_path / "space.json", kio.dump_space(coincident_pair()))
+    kio.write_json(tmp_path / "p.json", {"space": "space.json", "subset": ["a", "b", "c"], "strong": True,
+                                         "rows": {"d": {"a": 0.2, "b": 0.3, "c": 0.5}}})
+    kio.write_json(tmp_path / "f.json", {"space": "space.json", "dim": 1, "norm": "abs",
+                                         "values": {"a": 0.0, "b": 1.0, "c": 1.0}})
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    ("synthesize", "space.json", "--subset", "a,b,c"),
+    ("tvconst", "space.json", "p.json"),
+    ("extend", "space.json", "p.json", "f.json"),
+], ids=lambda argv: argv[0])
+def test_cli_refuses_distinct_points_at_distance_zero(coincident_files, capsys, argv):
+    # a NaN quotient would print as NaN, which is not JSON
+    code, out, err = run_cli(capsys, *(str(coincident_files / a) if a.endswith(".json") else a
+                                       for a in argv))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "distinct points 'b' and 'c' are at distance 0.0" in err
+
+
+def test_cli_validate_still_loads_and_reports_a_coincident_pair(coincident_files, capsys):
+    code, out, _ = run_cli(capsys, "validate", str(coincident_files / "space.json"))
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"kind": "separation", "points": ["b", "c"], "excess": 0.0}]

@@ -175,6 +175,27 @@ def test_three_point_space_is_valid():
         assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
 
 
+def coincident_pair() -> FiniteMetricSpace:
+    """Four points, b and c distinct but at distance 0: a pseudometric, not a metric."""
+    d = [[0, 1, 1, 2], [1, 0, 0, 1], [1, 0, 0, 1], [2, 1, 1, 0]]
+    return FiniteMetricSpace(("a", "b", "c", "d"), np.array(d, dtype=float))
+
+
+def test_validate_reports_the_coincident_pair_that_quotients_refuse():
+    space = coincident_pair()
+    assert [(v.kind, v.indices) for v in validate_metric(space)] == [("separation", (1, 2))]
+    with pytest.raises(ContractError, match=r"distinct points 'b' and 'c' are at distance 0\.0"):
+        metric._require_separated(space)
+
+
+def test_the_quotient_check_names_the_first_entry_at_or_below_zero():
+    d = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, -0.5, 0.0]])
+    with pytest.raises(ContractError, match=r"'c' and 'b' are at distance -0\.5"):
+        metric._require_separated(FiniteMetricSpace(("a", "b", "c"), d))
+    metric._require_separated(three_point())
+    metric._require_separated(FiniteMetricSpace(("a",), np.zeros((1, 1))))
+
+
 def far_three_point() -> FiniteMetricSpace:
     """Three points, each pair at distance 1e308: every sum of two overflows."""
     dist = np.full((3, 3), 1e308)

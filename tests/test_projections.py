@@ -45,7 +45,7 @@ from krext import (
 from krext import optim, projections, transport
 from krext.families import grid_space
 from krext.optim import LinearProgram, solve_lp
-from test_metric import three_point
+from test_metric import coincident_pair, three_point
 from test_optim import captured_lps, highs_linprog
 
 
@@ -952,6 +952,65 @@ def test_synthesis_k_does_not_depend_on_the_unit(scale):
     want = synthesize_min_k(space, Subspace(space, members)).k_star
     got = synthesize_min_k(scaled, Subspace(scaled, members)).k_star
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_synthesis_builds_one_projection_however_many_rounds_it_takes(monkeypatch):
+    # the loop reads the coefficient matrix; only the returned projection is built
+    built = []
+    post_init = RandomProjection.__post_init__
+
+    def count(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RandomProjection, "__post_init__", count)
+    space = star_space()
+    subset = subspace_from_labels(space, ["l1", "l2", "l3"])
+    out = []
+    assert len(captured_lps(projections, lambda: out.append(synthesize_min_k(space, subset)))) >= 2
+    assert len(built) == 1 and built[0] is out[0].projection
+
+
+@pytest.mark.xfail(raises=SolverError, strict=False,
+                   reason="ROADMAP item 1: the master violates its own cut for pair (4, 8); "
+                          "non-strict, as the round-off behind it may not repeat under another BLAS")
+def test_synthesis_solves_the_12_8_case_whose_master_violated_its_own_cut():
+    # the eighth entry of asymptotic_profile on this space; HiGHS puts the
+    # joint LP's optimum at 1.0315684768204276
+    rng = np.random.default_rng(0)
+    rand_space(rng, 7)
+    rand_space(rng, 9)
+    space = rand_space(rng, 12)
+    subset = Subspace(space, (0, 1, 2, 3, 4, 5, 6, 10))
+    res = synthesize_min_k(space, subset)
+    assert res.k_star == pytest.approx(highs_lp_value(synthesis_lp_loops(space, subset, "strong")), abs=1e-8)
+
+
+def coincident_projection() -> RandomProjection:
+    """A strong projection of coincident_pair onto {a, b, c}, whose b and c are at distance 0."""
+    space = coincident_pair()
+    coeffs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
+    return projections._from_coeffs(Subspace(space, (0, 1, 2)), coeffs, strong=True)
+
+
+@pytest.mark.parametrize("constant", [
+    projection_constant,
+    weighted_tv_constant,
+    lambda p: gentle_constant(projection_to_gentle(p)),
+    lambda p: synthesize_min_k(p.space, p.subset, mode="strong"),
+    lambda p: synthesize_min_k(p.space, p.subset, mode="signed"),
+], ids=["projection_constant", "weighted_tv_constant", "gentle_constant", "strong", "signed"])
+def test_quotients_refuse_distinct_points_at_distance_zero(constant, monkeypatch):
+    # a quotient 0 / 0 reads NaN: the refusal must come before any solve
+    p = coincident_projection()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the distances were checked")
+
+    monkeypatch.setattr(projections, "kr_norm", no_solve)
+    monkeypatch.setattr(projections, "solve_lp", no_solve)
+    with pytest.raises(ContractError, match=r"distinct points 'b' and 'c' are at distance 0\.0"):
+        constant(p)
 
 
 def test_synthesize_rejects_unknown_mode():
