@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SolverError, check_tol
-from .metric import FiniteMetricSpace, Subspace, _require_separated
+from .metric import FiniteMetricSpace, Subspace, _separated_pairs, _unit_metric
 from .optim import LinearProgram, solve_lp
 from .projections import RandomProjection
 
@@ -78,8 +78,7 @@ def lip_norm(f: PointFunction) -> float:
 
 def _worst_pair(f: PointFunction) -> tuple[int, int, float]:
     """The first pair (i, j), i < j, attaining lip_norm, and that ratio."""
-    _require_separated(f.space)
-    i, j = np.triu_indices(f.space.n, 1)
+    i, j = _separated_pairs(f.space)
     diff = f.values[i] - f.values[j]
     if f.norm == "sup":
         size = np.max(np.abs(diff), axis=1)
@@ -157,28 +156,22 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9) -> float:
     through transport flows.
     """
     check_tol(tol)
-    _require_separated(upsilon.space)
-    # the quotients are dimensionless: every LP lives on d / 2^e, 2^e the least
-    # power of two above the ambient diameter, as in synthesize_min_k, so that
-    # solve_lp sees data of order one and under d -> 2^k d poses the same LPs
-    # bit for bit
-    e = math.frexp(upsilon.space.diameter)[1]
-    dist = np.ldexp(upsilon.space.dist, -e)
-    msp = upsilon.subset.to_space()
-    sub = np.ldexp(msp.dist, -e)
-    free = np.flatnonzero(np.arange(msp.n) != msp.basepoint)
+    x, y = _separated_pairs(upsilon.space)
+    dist = _unit_metric(upsilon.space)[1]   # the quotients are dimensionless
+    members = np.array(upsilon.subset.members)
+    free = np.flatnonzero(members != upsilon.space.basepoint)
+    outer = members[free]
     # one row f(i) - f(j) <= d(i, j) per ordered pair of free members
     i, j = np.nonzero(~np.eye(free.size, dtype=bool))
     slopes = np.eye(free.size)
     A = slopes[i] - slopes[j]
-    b = sub[free[i], free[j]]
-    bound = sub[free, msp.basepoint]
+    b = dist[outer[i], outer[j]]
+    bound = dist[outer, upsilon.space.basepoint]
+    diff = (upsilon.coeffs[x] - upsilon.coeffs[y])[:, free]
+    differ = diff.any(axis=1)
+    x, y, diff = x[differ], y[differ], diff[differ]
     objectives: dict[bytes, float] = {}   # pairs with equal c share one LP
-    best = 0.0
-    for x, y in zip(*np.triu_indices(upsilon.space.n, 1)):
-        c = (upsilon.coeffs[x] - upsilon.coeffs[y])[free]
-        if not np.any(c):
-            continue
+    for c in diff:
         key = c.tobytes()
         if key not in objectives:
             lp = LinearProgram(c=c, A=A, senses=("<=",) * b.size, b=b, lb=-bound, ub=bound,
@@ -187,5 +180,5 @@ def operator_norm(upsilon: RandomProjection, tol: float = 1e-9) -> float:
             if res.status != "optimal":
                 raise SolverError(f"pair LP unexpectedly {res.status}")
             objectives[key] = res.objective
-        best = max(best, objectives[key] / float(dist[x, y]))
-    return best
+    values = np.array([objectives[c.tobytes()] for c in diff])
+    return float(np.max(values / dist[x, y], initial=0.0))

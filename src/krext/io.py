@@ -249,10 +249,11 @@ def load_function(source, expected_space: FiniteMetricSpace | None = None,
 
     obj, space = _read_bound(source, "function", ("space", "dim", "norm", "values"),
                              expected_space)
-    dim = obj["dim"]
+    dim, norm = obj["dim"], obj["norm"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
-    norm = obj["norm"]
+    if not isinstance(norm, str):
+        raise MalformedInputError(f"norm must be a string, got {norm!r}")
     values_raw = obj["values"]
     if not isinstance(values_raw, dict):
         raise MalformedInputError("function values must be an object of label: value")
@@ -286,7 +287,7 @@ def load_function(source, expected_space: FiniteMetricSpace | None = None,
                 raise MalformedInputError(f"values[{lab!r}] must be a list of {dim} numbers")
             vec = [_as_number(v, f"values[{lab!r}]")]
         rows.append(vec)
-    return PointFunction(domain_space, np.array(rows), norm if isinstance(norm, str) else str(norm))
+    return PointFunction(domain_space, np.array(rows), norm)
 
 
 def dump_function(f: PointFunction) -> dict:

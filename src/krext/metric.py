@@ -167,11 +167,11 @@ def require_valid_metric(space: FiniteMetricSpace, tol: float = 1e-9) -> None:
         raise ContractError(f"not a metric space: {lines}{more}")
 
 
-def _require_separated(space: FiniteMetricSpace) -> None:
-    """Raise naming the first entry, row-major, of two distinct points at distance <= 0.
+def _separated_pairs(space: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs x < y, row-major, once no two distinct points are at distance <= 0.
 
-    Every quotient by d(x, y) needs it positive; validate_metric reports
-    such a pair instead of raising.
+    Every quotient by d(x, y) needs it positive, so the first such entry,
+    row-major, raises; validate_metric reports it instead.
     """
     d = space.dist
     bad = np.argwhere((d <= 0.0) & ~np.eye(space.n, dtype=bool))
@@ -181,6 +181,14 @@ def _require_separated(space: FiniteMetricSpace) -> None:
             f"distinct points {space.labels[i]!r} and {space.labels[j]!r} are at distance "
             f"{float(d[i, j])!r}; a quotient by d(x, y) needs it positive"
         )
+    return np.triu_indices(space.n, 1)
+
+
+def _unit_metric(space: FiniteMetricSpace) -> tuple[int, np.ndarray]:
+    """e and d / 2^e, 2^e the least power of two above the diameter.  Every LP is posed
+    on it: its data are of order one, and d -> 2^k d poses the same LP bit for bit."""
+    e = int(np.frexp(space.diameter)[1])
+    return e, np.ldexp(space.dist, -e)
 
 
 def restrict(space: FiniteMetricSpace, members: Sequence[int]) -> FiniteMetricSpace:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ContractError, SolverError, check_tol
 from .measures import SignedMeasure
-from .metric import FiniteMetricSpace, Subspace, _require_separated
+from .metric import FiniteMetricSpace, Subspace, _separated_pairs, _unit_metric
 from .optim import LinearProgram, solve_lp
 from .transport import TransportResult, kr_norm
 
@@ -105,7 +105,7 @@ class GentlePartition:
             raise ContractError(f"weights must sum to 1, got {total!r}")
         if np.any(psi < -_VALID_TOL):
             w, x = map(int, np.argwhere(psi < -_VALID_TOL)[0])
-            raise ContractError(f"psi[{w}, {x}] = {psi[w, x]!r} is negative")
+            raise ContractError(f"psi[{w}, {x}] = {float(psi[w, x])!r} is negative")
         members = np.array(sub.members)
         outside = np.flatnonzero(~np.isin(gamma, members))
         if outside.size:
@@ -170,23 +170,22 @@ class RandomProjection:
             raise ContractError(f"need one row per point, got {len(rows)} for {n}")
         members = set(sub.members)
         for x, row in enumerate(rows):
+            label = space.labels[x]
             if row.space != space:
-                raise ContractError(f"row {x} lives on a different space")
+                raise ContractError(f"row {label!r} lives on a different space")
             for i in row.support:
                 if i not in members:
                     raise ContractError(
-                        f"row {x} puts mass on point {space.labels[i]!r} outside the subset"
+                        f"row {label!r} puts mass on point {space.labels[i]!r} outside the subset"
                     )
             if x in members and row.coeff != {x: 1.0}:
-                raise ContractError(
-                    f"row for subset member {space.labels[x]!r} must be exactly its point mass"
-                )
+                raise ContractError(f"row for subset member {label!r} must be exactly its point mass")
             if self.strong:
                 if not row.is_nonnegative(_VALID_TOL):
-                    raise ContractError(f"strong projection row {x} has a negative coefficient")
+                    raise ContractError(f"strong projection row {label!r} has a negative coefficient")
                 if abs(row.mass() - 1.0) > _VALID_TOL:
                     raise ContractError(
-                        f"strong projection row {x} has mass {row.mass()!r}, expected 1"
+                        f"strong projection row {label!r} has mass {row.mass()!r}, expected 1"
                     )
         coeffs = np.array([row.as_vector() for row in rows])[:, list(sub.members)]
         coeffs.setflags(write=False)
@@ -224,11 +223,12 @@ def identity_projection(space: FiniteMetricSpace) -> RandomProjection:
 # constants
 
 
-def _max_weighted_variation(d: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+def _max_weighted_variation(space: FiniteMetricSpace, w: np.ndarray, v: np.ndarray) -> float:
     """Max over x != y of sum_k w[k, x] * |v[k, x] - v[k, y]| / d(x, y); 0 on a point."""
+    i, j = _separated_pairs(space)
+    x, y = np.concatenate([i, j]), np.concatenate([j, i])   # both orientations
     total = (w[:, :, None] * np.abs(v[:, :, None] - v[:, None, :])).sum(axis=0)
-    off = ~np.eye(d.shape[0], dtype=bool)
-    return float(np.max(total[off] / d[off], initial=0.0))
+    return float(np.max(total[x, y] / space.dist[x, y], initial=0.0))
 
 
 def gentle_constant(g: GentlePartition) -> float:
@@ -237,9 +237,7 @@ def gentle_constant(g: GentlePartition) -> float:
     Maximum over ordered pairs x != y of
     sum_w P(w) * d(gamma(w), x) * |psi(w, x) - psi(w, y)| / d(x, y).
     """
-    _require_separated(g.space)
-    d = g.space.dist
-    return _max_weighted_variation(d, g.weights[:, None] * d[list(g.gamma)], g.psi)
+    return _max_weighted_variation(g.space, g.weights[:, None] * g.space.dist[list(g.gamma)], g.psi)
 
 
 def weighted_tv_constant(p: RandomProjection) -> float:
@@ -248,9 +246,7 @@ def weighted_tv_constant(p: RandomProjection) -> float:
     sum over members m of d(m, x) * |rows[x](m) - rows[y](m)|, divided
     by d(x, y); dominates the dual-Lip quotient of projection_constant.
     """
-    _require_separated(p.space)
-    d = p.space.dist
-    return _max_weighted_variation(d, d[list(p.subset.members)], p.coeffs.T)
+    return _max_weighted_variation(p.space, p.space.dist[list(p.subset.members)], p.coeffs.T)
 
 
 def _difference_quotients(space: FiniteMetricSpace, members: Sequence[int], coeffs: np.ndarray,
@@ -263,9 +259,9 @@ def _difference_quotients(space: FiniteMetricSpace, members: Sequence[int], coef
     maps keys to kr_norm results and fills as needed, so pairs with equal
     differences share one solve, and a synthesis cut (x, y, key) finds its f there.
     """
-    _require_separated(space)
-    x, y = np.triu_indices(space.n, 1)
-    diff = coeffs[x] - coeffs[y]
+    x, y = _separated_pairs(space)
+    # + 0.0 turns -0.0 into 0.0, so that equal row differences have one key
+    diff = coeffs[x] - coeffs[y] + 0.0
     differ = diff.any(axis=1)
     x, y, diff = x[differ], y[differ], diff[differ]
     keys = [c.tobytes() for c in diff]
@@ -363,8 +359,10 @@ def uniform_discrete_projection(space: FiniteMetricSpace, subset: Subspace,
         t0 = operator.index(t0)
     except TypeError:
         raise ContractError(f"reference point must be an integer index, got {t0!r}") from None
+    if not (0 <= t0 < space.n):
+        raise ContractError(f"reference point index {t0} out of range")
     if t0 not in subset.members:
-        raise ContractError(f"reference point {t0} is not a subset member")
+        raise ContractError(f"reference point {space.labels[t0]!r} is not a subset member")
     d = space.dist
     i, j = np.triu_indices(members.size, 1)
     close = np.flatnonzero(d[members[i], members[j]] < eps - tol * eps)
@@ -432,11 +430,9 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
     _check_subset_of(space, subset)
     n = space.n
     strong = mode == "strong"
-    # K* is dimensionless: the master lives on d / 2^e, 2^e the least power of
-    # two above the diameter, and kr_norm's values and potentials scale
-    # exactly with the metric, so under d -> 2^k d every LP is the same bit for bit
-    e = math.frexp(space.diameter)[1]
-    d = np.ldexp(space.dist, -e)
+    # K* is dimensionless, and kr_norm's values and potentials scale exactly with
+    # the metric: on the unit metric, d -> 2^k d poses every LP bit for bit alike
+    e, d = _unit_metric(space)
     members = list(subset.members)
     m = len(members)
     base = members.index(space.basepoint)
@@ -485,8 +481,7 @@ def synthesize_min_k(space: FiniteMetricSpace, subset: Subspace,
         if res.status != "optimal":
             raise SolverError(f"synthesis master LP ended {res.status} on |X|={n}, |M|={m}, mode={mode}")
         k_lb = res.objective
-        # + 0.0 turns -0.0 into 0.0, so that equal row differences have one key
-        coeffs[np.ix_(exterior, others)] = res.x[1:].reshape(n_ext, m - 1) + 0.0
+        coeffs[np.ix_(exterior, others)] = res.x[1:].reshape(n_ext, m - 1)
         coeffs[exterior, base] = 1.0 - coeffs[np.ix_(exterior, others)].sum(axis=1)
 
 
@@ -558,7 +553,7 @@ def retract_l1_ball(y: Sequence[float] | np.ndarray) -> tuple[float, np.ndarray]
     neg = np.nonzero(y < 0.0)[0]
     if neg.size:
         i = int(neg[0])
-        raise ContractError(f"entry {i} is negative ({y[i]!r}); the domain is y >= 0")
+        raise ContractError(f"entry {i} is negative ({float(y[i])!r}); the domain is y >= 0")
     try:
         total = math.fsum(y.tolist())
     except OverflowError:   # fsum raises where the exact sum passes the largest float

@@ -17,6 +17,7 @@ import krext.projections
 import krext.io as kio
 from krext import (
     ContractError,
+    FiniteMetricSpace,
     JsonParseError,
     MalformedInputError,
     PointFunction,
@@ -151,6 +152,9 @@ def test_subset_function_parsing(files):
     extra["values"] = {"a": 0.0, "b": 1.0, "c": 2.0}
     with pytest.raises(MalformedInputError):
         kio.load_function(extra, expected_space=space, subspace=sub)
+    far = FiniteMetricSpace(space.labels, 2.0 * space.dist)
+    with pytest.raises(ContractError, match="different space than the subset's"):
+        kio.load_function(files["f.json"], subspace=subspace_from_labels(far, ["a", "b"]))
 
 
 def test_projection_round_trip_and_default_member_rows(files):
@@ -371,6 +375,20 @@ def test_cli_solver_error_is_2(files, capsys, monkeypatch):
 BIG = "1" + "0" * 400  # an integer literal past the largest float
 
 
+def as_json(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+# valid files for the three-point space beside them, for the rows below to break
+SPACE = {"labels": ["a", "b"], "basepoint": "a", "dist": [[0, 1], [1, 0]]}
+FUNCTION = {"space": "space.json", "dim": 1, "norm": "abs", "values": {"a": 0, "b": 1, "c": 2}}
+VECTOR = {**FUNCTION, "dim": 2, "norm": "sup", "values": {"a": [0, 0], "b": [1, 1], "c": [2, 2]}}
+PROJECTION = {"space": "space.json", "subset": ["a", "b"], "strong": True,
+              "rows": {"c": {"a": 0.5, "b": 0.5}}}
+GENTLE = {"space": "space.json", "subset": ["a"], "P": [1.0], "psi": [[1, 1, 1]],
+          "gamma": ["a"]}
+
+
 @pytest.mark.parametrize("argv, content, code, named", [
     (("validate", "{in}"), b'{"labels": ["a\xff"], "basepoint": "a", "dist": [[0]]}',
      1, ("{in}",)),
@@ -383,18 +401,80 @@ BIG = "1" + "0" * 400  # an integer literal past the largest float
      1, ("dist[0][1]",)),
     (("retract", "{in}"), b"[%s]" % BIG.encode(), 1, ("vector[0]",)),
     (("report", "{space}", "--sizes", "2", "--seed", "-1"), b"", 64, ("--seed",)),
+    (("validate", "{in}"), b"[]", 1, ("space must be a JSON object",)),
+    (("validate", "{in}"), as_json({"labels": ["a"], "basepoint": "a"}), 1, ("key(s): dist",)),
+    (("validate", "{in}"), as_json({**SPACE, "labels": []}), 1, ("space labels",)),
+    (("validate", "{in}"), as_json({**SPACE, "labels": ["a", ""]}), 1, ("labels[1]",)),
+    (("validate", "{in}"), as_json({**SPACE, "basepoint": "z"}), 1, ("basepoint 'z'",)),
+    (("validate", "{in}"), as_json({**SPACE, "dist": [[0, 1], [1]]}), 1, ("dist[1] has 1",)),
+    (("validate", "{in}"), as_json({**SPACE, "dist": [[0, 1], 1]}), 1, ("dist[1] must",)),
+    (("retract", "{in}"), as_json({"y": 0.5}), 1, ("vector must",)),
+    (("krnorm", "{space}", "{in}"), as_json({"space": 7, "coeff": {}}), 1, ("measure space",)),
+    (("krnorm", "{space}", "{in}"), as_json({"space": "space.json", "coeff": [1]}), 1,
+     ("measure coeff",)),
+    (("shiftbase", "{space}", "{in}"), as_json({**FUNCTION, "dim": 0}), 1, ("dim",)),
+    (("shiftbase", "{space}", "{in}"), as_json({**FUNCTION, "norm": 7}), 1,
+     ("norm must be a string, got 7",)),
+    (("shiftbase", "{space}", "{in}"), as_json({**FUNCTION, "values": [0, 1, 2]}), 1,
+     ("function values",)),
+    (("mcshane", "{space}", "{in}", "--subset", "a,b"), as_json({**FUNCTION, "values": {"a": 0}}),
+     1, ("missing for: 'b'",)),
+    (("shiftbase", "{space}", "{in}"),
+     as_json({**VECTOR, "values": {**VECTOR["values"], "b": [1]}}), 1, ("values['b']",)),
+    (("shiftbase", "{space}", "{in}"),
+     as_json({**VECTOR, "values": {**VECTOR["values"], "b": 1}}), 1, ("values['b']",)),
+    # a file that covers a subset: the loader refuses the label outside the space
+    (("shiftbase", "{space}", "{in}"),
+     as_json({**FUNCTION, "values": {"a": 0, "b": 1, "z": 2}}), 1, ("'z'",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "subset": []}), 1,
+     ("projection subset",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "subset": ["a", "a"]}), 1,
+     ("projection subset",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "strong": 1}), 1, ("strong",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "rows": []}), 1, ("rows",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "rows": {"z": {}}}), 1, ("'z'",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "rows": {}}), 1, ("point 'c'",)),
+    (("gentle2proj", "{space}", "{in}"), as_json({**GENTLE, "gamma": ["a", "a"]}), 1,
+     ("gamma",)),
+    (("report", "{space}", "--sizes", "4"), b"", 1, ("size 4",)),
+    (("report", "{space}", "--seed", "x"), b"", 64, ("--seed",)),
+    (("synthesize", "{space}", "--subset", ","), b"", 64, ("--subset",)),
+    # refusals print plain floats, not numpy scalar reprs, and name points by label
+    (("retract", "{in}"), b"[0.5, -1]", 1, ("entry 1 is negative (-1.0)",)),
+    (("gentle2proj", "{space}", "{in}"), as_json({**GENTLE, "psi": [[1, 1, -1]]}), 1,
+     ("psi[0, 2] = -1.0 is negative",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "rows": {"c": {"a": 0.5, "c": 0.5}}}),
+     1, ("row 'c' puts mass on point 'c' outside the subset",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "rows": {"c": {"a": 0.5, "b": 0.75}}}),
+     1, ("strong projection row 'c' has mass 1.25, expected 1",)),
+    (("tvconst", "{space}", "{in}"), as_json({**PROJECTION, "rows": {"c": {"a": 1.5, "b": -0.5}}}),
+     1, ("strong projection row 'c' has a negative coefficient",)),
+    (("udp", "{space}", "--subset", "a,b", "--eps", "1", "--t0", "c"), b"", 1,
+     ("reference point 'c' is not a subset member",)),
 ], ids=["invalid-utf8", "5000-digit-int", "deep-nesting", "400-digit-distance",
-        "400-digit-vector", "negative-seed"])
+        "400-digit-vector", "negative-seed", "space-not-an-object", "space-missing-key",
+        "no-labels", "empty-label", "unknown-basepoint", "ragged-dist-row", "dist-row-not-a-list",
+        "vector-not-a-list", "measure-space-not-a-path", "measure-coeff-not-an-object",
+        "dim-zero", "norm-not-a-string", "values-not-an-object", "missing-value",
+        "short-vector-value", "scalar-for-vector-value", "subset-file-with-unknown-label",
+        "empty-subset", "repeated-subset-label", "strong-not-boolean", "rows-not-an-object",
+        "row-of-unknown-point", "missing-exterior-row", "gamma-wrong-length",
+        "report-size-out-of-range", "non-integer-seed", "empty-subset-option",
+        "negative-vector-entry", "negative-psi", "row-outside-subset", "row-mass", "row-sign",
+        "reference-point-not-a-member"])
 def test_cli_reports_unreadable_input_without_a_traceback(files, capsys, tmp_path,
                                                          argv, content, code, named):
-    # each of these inputs once ended in a Python traceback
+    # each of these inputs once ended in a Python traceback, or reached no test
     path = tmp_path / "in.json"
     path.write_bytes(content)
     fill = {"in": str(path), "space": files["space.json"]}
-    got, _, err = run_cli(capsys, *(a.format(**fill) for a in argv))
-    assert got == code
-    assert "Traceback" not in err
-    assert any(n.format(**fill) in err for n in named)
+    got, out, err = run_cli(capsys, *(a.format(**fill) for a in argv))
+    assert got == code and out == ""
+    assert "Traceback" not in err and "np." not in err
+    lines = err.splitlines()
+    if code == 1:   # a usage error prints the usage first
+        assert len(lines) == 1, err
+    assert any(n.format(**fill) in lines[-1] for n in named), err
 
 
 def test_cli_krnorm_on_a_measure_whose_total_variation_overflows_exits_one(files, capsys, tmp_path):

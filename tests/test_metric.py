@@ -185,15 +185,29 @@ def test_validate_reports_the_coincident_pair_that_quotients_refuse():
     space = coincident_pair()
     assert [(v.kind, v.indices) for v in validate_metric(space)] == [("separation", (1, 2))]
     with pytest.raises(ContractError, match=r"distinct points 'b' and 'c' are at distance 0\.0"):
-        metric._require_separated(space)
+        metric._separated_pairs(space)
 
 
 def test_the_quotient_check_names_the_first_entry_at_or_below_zero():
     d = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, -0.5, 0.0]])
     with pytest.raises(ContractError, match=r"'c' and 'b' are at distance -0\.5"):
-        metric._require_separated(FiniteMetricSpace(("a", "b", "c"), d))
-    metric._require_separated(three_point())
-    metric._require_separated(FiniteMetricSpace(("a",), np.zeros((1, 1))))
+        metric._separated_pairs(FiniteMetricSpace(("a", "b", "c"), d))
+    # the pairs it has checked come back as x < y, row-major
+    i, j = metric._separated_pairs(three_point())
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 2)]
+    i, j = metric._separated_pairs(FiniteMetricSpace(("a",), np.zeros((1, 1))))
+    assert i.size == j.size == 0
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 0.75, 1.0, 3.0, 2.0 ** 1000])
+def test_the_unit_metric_divides_by_the_least_power_of_two_above_the_diameter(scale):
+    space = FiniteMetricSpace(("a", "b", "c"), three_point().dist * scale)
+    e, d = metric._unit_metric(space)
+    assert 0.5 <= d.max() < 1.0
+    assert np.array_equal(np.ldexp(d, e), space.dist)
+    # d -> 2^k d leaves the unit metric as it is, bit for bit
+    assert np.array_equal(metric._unit_metric(FiniteMetricSpace(space.labels, space.dist * 8.0))[1], d)
+    assert metric._unit_metric(FiniteMetricSpace(("a",), np.zeros((1, 1))))[0] == 0
 
 
 def far_three_point() -> FiniteMetricSpace:

@@ -172,7 +172,7 @@ def gentle_partition_loops(sub, weights, psi, gamma) -> str | None:
         return f"weights must sum to 1, got {total!r}"
     if np.any(psi < -tol):
         w, x = map(int, np.argwhere(psi < -tol)[0])
-        return f"psi[{w}, {x}] = {psi[w, x]!r} is negative"
+        return f"psi[{w}, {x}] = {float(psi[w, x])!r} is negative"
     members = set(sub.members)
     for w, g in enumerate(gamma):
         if g not in members:
